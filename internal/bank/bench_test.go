@@ -61,9 +61,10 @@ func BenchmarkCentralAuditRound(b *testing.B) {
 }
 
 // BenchmarkHierarchyAuditRound is the §5 ablation partner: the same
-// rounds through a 4-region hierarchy. Total work is similar; the
-// point is the *distribution* — RootSummaries vs N reports — which the
-// Stats assertions in hierarchy_test.go capture.
+// rounds through a 4-region hierarchy of leaf Banks plus a Root. The
+// point is the *distribution*: each leaf verifies only its region's
+// pairs and the root only the cross-region ones, which the Root stats
+// assertions in hierarchy_test.go capture.
 func BenchmarkHierarchyAuditRound(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("isps=%d", n), func(b *testing.B) {

@@ -260,7 +260,10 @@ type Cluster struct {
 	rootReg   *metrics.Registry
 	rootAdmin *obsv.Server
 
-	audits   int64 // rounds triggered via TriggerAudit
+	// hier composes the running leaves and root for the audit-round
+	// bookkeeping (TriggerAudit, AuditComplete, Violations, Outstanding).
+	hier *bank.Hierarchy
+
 	initialE int64 // federation e-penny total at boot
 }
 
@@ -345,6 +348,16 @@ func (c *Cluster) boot() error {
 			}
 		}
 	}
+
+	leaves := make([]*bank.Bank, len(c.banks))
+	for r, bd := range c.banks {
+		leaves[r] = bd.Bank
+	}
+	hier, err := bank.ComposeHierarchy(leaves, c.root, c.assign)
+	if err != nil {
+		return err
+	}
+	c.hier = hier
 	return nil
 }
 
@@ -539,42 +552,20 @@ func (c *Cluster) MetricsAddrs() []string {
 // leaf (or the central bank) snapshots its ISPs. Completion is
 // observable via AuditComplete.
 func (c *Cluster) TriggerAudit() error {
-	for _, bd := range c.banks {
-		if err := bd.Bank.StartSnapshot(); err != nil {
-			return fmt.Errorf("cluster: bank[%d]: %w", bd.Region, err)
-		}
+	if err := c.hier.StartSnapshot(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	c.audits++
 	return nil
 }
 
 // AuditComplete reports whether every round triggered so far has fully
 // verified — at every leaf, and (two-level topology) at the root.
-func (c *Cluster) AuditComplete() bool {
-	for _, bd := range c.banks {
-		if !bd.Bank.RoundComplete() {
-			return false
-		}
-	}
-	if c.root != nil && c.root.RoundsVerified() < c.audits {
-		return false
-	}
-	return true
-}
+func (c *Cluster) AuditComplete() bool { return c.hier.RoundComplete() }
 
 // Violations gathers every flagged pair across the bank tree:
 // intra-region pairs from the leaves, cross-region pairs from the
 // root.
-func (c *Cluster) Violations() []bank.Violation {
-	var out []bank.Violation
-	for _, bd := range c.banks {
-		out = append(out, bd.Bank.Violations()...)
-	}
-	if c.root != nil {
-		out = append(out, c.root.Violations()...)
-	}
-	return out
-}
+func (c *Cluster) Violations() []bank.Violation { return c.hier.Violations() }
 
 // TotalEPennies sums the conserved quantity over every ISP ledger:
 // user balances + pool + credit claims. Paired with Outstanding it is
@@ -588,13 +579,7 @@ func (c *Cluster) TotalEPennies() int64 {
 }
 
 // Outstanding sums net minted e-pennies over every bank daemon.
-func (c *Cluster) Outstanding() int64 {
-	var total int64
-	for _, bd := range c.banks {
-		total += bd.Bank.Outstanding()
-	}
-	return total
-}
+func (c *Cluster) Outstanding() int64 { return c.hier.Outstanding() }
 
 // InitialEPennies returns the federation e-penny total at boot (the
 // seeded pools plus user balances, which predate the banks).

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"zmail/internal/bank"
 	"zmail/internal/mail"
 	"zmail/internal/smtp"
 )
@@ -124,6 +125,63 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 	// The wipe-on-report cancels pairwise, so conservation must hold
 	// after the round too.
 	waitOr(t, "conservation after audit", c.Conserved)
+}
+
+// TestClusterCatchesCheaterLive runs a cheating ISP in the two-level
+// topology over real TCP: 4 ISPs in 2 regions ({0,2} and {1,3}), isp1
+// charging its senders without recording the credit it owes. Every
+// pair the cheater sent paid mail on is flagged: the intra-region pair
+// by isp1's leaf, the cross-region pairs by the root, and nothing else.
+func TestClusterCatchesCheaterLive(t *testing.T) {
+	const cheater = 1
+	c := newTestCluster(t, Config{ISPs: 4, Regions: 2})
+	c.ISP(cheater).Engine().SetCheat(true)
+
+	// The cheater sends to everyone; honest traffic (including mail
+	// into the cheater) rides alongside.
+	sends := [][2]int{
+		{1, 0}, {1, 2}, {1, 3}, {1, 3},
+		{0, 1}, {0, 2}, {2, 3}, {3, 0},
+	}
+	want := map[int]int64{}
+	for k, s := range sends {
+		if err := submit(c, s[0], 0, s[1], 1, fmt.Sprintf("m%d", k)); err != nil {
+			t.Fatalf("submit isp%d→isp%d: %v", s[0], s[1], err)
+		}
+		want[s[1]]++
+	}
+	waitOr(t, "delivery of every message", func() bool {
+		for i, n := range want {
+			if c.ISP(i).Delivered() < n {
+				return false
+			}
+		}
+		return true
+	})
+
+	if err := c.TriggerAudit(); err != nil {
+		t.Fatal(err)
+	}
+	waitOr(t, "audit round completion (leaves + root)", c.AuditComplete)
+
+	check := func(who string, got []bank.Violation, want ...[2]int) {
+		t.Helper()
+		flagged := map[[2]int]bool{}
+		for _, v := range got {
+			flagged[[2]int{v.I, v.J}] = true
+		}
+		ok := len(got) == len(want)
+		for _, w := range want {
+			ok = ok && flagged[w]
+		}
+		if !ok {
+			t.Fatalf("%s flagged %v, want %v", who, got, want)
+		}
+	}
+	check("cluster", c.Violations(), [2]int{0, 1}, [2]int{1, 2}, [2]int{1, 3})
+	check("leaf 0", c.Banks()[0].Bank.Violations())
+	check("leaf 1", c.Banks()[1].Bank.Violations(), [2]int{1, 3})
+	check("root", c.Root().Violations(), [2]int{0, 1}, [2]int{1, 2})
 }
 
 // TestClusterBatchedFederation boots the batch-first federation: every

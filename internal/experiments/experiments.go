@@ -89,7 +89,7 @@ var titles = map[string]string{
 	"E14": "the paper's formal specification passes randomized model checking",
 	"E15": "audit rounds settle real money along net e-penny flows",
 	"E16": "ablations confirm both published-spec bugs and both fixes",
-	"E17": "a bank hierarchy preserves detection while shrinking the root's load",
+	"E17": "a bank hierarchy preserves detection; its root checks only cross-region pairs",
 	"E18": "one-workload shootout of every surveyed anti-spam approach",
 	"E19": "the Gartner productivity figure is reproducible from first principles",
 	"E20": "crashed ISPs and bank recover from persisted ledgers with every economic invariant intact",
