@@ -443,8 +443,8 @@ func (b *Bank) StartSnapshot() error {
 func (b *Bank) startSnapshotLocked() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.gathering {
-		return ErrRoundActive
+	if err := b.snapshotReadyLocked(); err != nil {
+		return err
 	}
 	b.gathering = true
 	b.total = 0
@@ -468,8 +468,33 @@ func (b *Bank) startSnapshotLocked() error {
 		idx := i
 		b.emitq = append(b.emitq, func() { b.cfg.Transport.SendISP(idx, env) })
 	}
-	if b.total == 0 {
-		b.gathering = false
+	return nil
+}
+
+// snapshotReady reports why StartSnapshot would refuse now, or nil.
+// Hierarchy checks every leaf with it before starting any, so a refusal
+// does not leave some leaves a round ahead of the others.
+func (b *Bank) snapshotReady() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.snapshotReadyLocked()
+}
+
+func (b *Bank) snapshotReadyLocked() error {
+	if b.gathering {
+		return ErrRoundActive
+	}
+	n := 0
+	for i, c := range b.compliant {
+		if !c {
+			continue
+		}
+		if b.ispSealers[i] == nil {
+			return fmt.Errorf("%w: %d", ErrNotEnrolled, i)
+		}
+		n++
+	}
+	if n == 0 {
 		return errors.New("bank: no compliant ISPs to snapshot")
 	}
 	return nil
