@@ -46,6 +46,9 @@ type cfg struct {
 	entry  *cfgBlock
 	exit   *cfgBlock
 	blocks []*cfgBlock
+	// selects maps each select statement to the block that ends where
+	// it starts waiting.
+	selects map[*ast.SelectStmt]*cfgBlock
 }
 
 // branchScope is one enclosing breakable/continuable construct.
@@ -65,7 +68,7 @@ type cfgBuilder struct {
 
 // buildCFG constructs the control-flow graph of one function body.
 func buildCFG(body *ast.BlockStmt) *cfg {
-	g := &cfg{}
+	g := &cfg{selects: map[*ast.SelectStmt]*cfgBlock{}}
 	b := &cfgBuilder{g: g}
 	g.entry = b.newBlock()
 	g.exit = b.newBlock()
@@ -418,6 +421,7 @@ func (b *cfgBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt) {
 func (b *cfgBuilder) selectStmt(s *ast.SelectStmt) {
 	label := b.takeLabel()
 	head := b.cur
+	b.g.selects[s] = head
 	join := b.newBlock()
 	b.scopes = append(b.scopes, branchScope{label: label, brk: join})
 	for _, c := range s.Body.List {

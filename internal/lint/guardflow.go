@@ -7,8 +7,8 @@ package lint
 // checks share one config (Config.GuardedFields et al.):
 //
 //  1. Lockset dataflow. Each declared shared field maps to the guards
-//     that may protect it. A forward must-hold analysis over the PR-4
-//     CFG tracks, per lock, whether it is provably held (read- or
+//     that may protect it. The shared lockset engine (lockset.go)
+//     tracks, per lock, whether it is provably held (read- or
 //     write-side), provably released, or unknown at every node. A
 //     guarded access with no satisfying guard held becomes an
 //     obligation; obligations propagate bottom-up through in-package
@@ -58,27 +58,6 @@ func GuardFlow() Pass {
 	}
 }
 
-// gfMode is the per-lock must-state.
-type gfMode uint8
-
-const (
-	gfHeldR    gfMode = iota + 1 // read side provably held
-	gfHeldW                      // write side (or plain Mutex) provably held
-	gfReleased                   // provably not held (a local acquire/release cycle completed)
-)
-
-// gfState maps lock keys ("importpath.Owner.field") to their must-
-// state; absent keys are unknown (possibly held by a caller).
-type gfState map[string]gfMode
-
-func (s gfState) clone() gfState {
-	n := make(gfState, len(s))
-	for k, v := range s {
-		n[k] = v
-	}
-	return n
-}
-
 // gfGuard is one alternative from a GuardedFields entry. writeOnly
 // marks the ":W" suffix: only the write-held side satisfies, whatever
 // the access kind (the freeze world-stop dominator).
@@ -111,12 +90,12 @@ type gfObligation struct {
 }
 
 // gfSatisfied reports whether the held set discharges the obligation.
-func gfSatisfied(s gfState, ob gfObligation) bool {
+func gfSatisfied(s lockState, ob gfObligation) bool {
 	for _, g := range ob.guards {
 		switch s[g.key] {
-		case gfHeldW:
+		case heldW:
 			return true
-		case gfHeldR:
+		case heldR:
 			if !g.writeOnly && !ob.write {
 				return true
 			}
@@ -128,9 +107,9 @@ func gfSatisfied(s gfState, ob gfObligation) bool {
 // gfDoomed reports whether every alternative guard is provably
 // released: no caller can discharge the obligation either, so it is
 // reported where it stands.
-func gfDoomed(s gfState, ob gfObligation) bool {
+func gfDoomed(s lockState, ob gfObligation) bool {
 	for _, g := range ob.guards {
-		if s[g.key] != gfReleased {
+		if s[g.key] != released {
 			return false
 		}
 	}
@@ -162,20 +141,17 @@ type gfResult struct {
 }
 
 type gfAnalyzer struct {
-	u       *Unit
 	units   []*flowUnit
 	byFunc  map[*types.Func]*flowUnit
 	byBody  map[*ast.BlockStmt]*flowUnit
 	results map[*flowUnit]*gfResult
 	busy    map[*flowUnit]bool
 
-	invoked map[*ast.BlockStmt]bool // literal bodies invoked (or deferred) directly
-	goCalls map[*ast.CallExpr]bool  // the Call of every go statement
-	calls   map[*types.Func]int     // static in-package call-position uses
-	uses    map[*types.Func]int     // all in-package uses
+	goCalls map[*ast.CallExpr]bool // the Call of every go statement
+	calls   map[*types.Func]int    // static in-package call-position uses
+	uses    map[*types.Func]int    // all in-package uses
 
-	diags []Diagnostic
-	seen  map[token.Pos]bool
+	passDiags
 }
 
 func runGuardFlow(u *Unit) []Diagnostic {
@@ -183,14 +159,12 @@ func runGuardFlow(u *Unit) []Diagnostic {
 		return nil
 	}
 	a := &gfAnalyzer{
-		u:       u,
-		results: map[*flowUnit]*gfResult{},
-		busy:    map[*flowUnit]bool{},
-		invoked: map[*ast.BlockStmt]bool{},
-		goCalls: map[*ast.CallExpr]bool{},
-		calls:   map[*types.Func]int{},
-		uses:    map[*types.Func]int{},
-		seen:    map[token.Pos]bool{},
+		passDiags: passDiags{u: u, pass: "guardflow"},
+		results:   map[*flowUnit]*gfResult{},
+		busy:      map[*flowUnit]bool{},
+		goCalls:   map[*ast.CallExpr]bool{},
+		calls:     map[*types.Func]int{},
+		uses:      map[*types.Func]int{},
 	}
 	a.units, a.byFunc, a.byBody = u.flowInfo()
 	a.scanRefs()
@@ -205,25 +179,7 @@ func runGuardFlow(u *Unit) []Diagnostic {
 	}
 	a.checkAtomics()
 	a.checkCaptures()
-	sort.Slice(a.diags, func(i, j int) bool {
-		x, y := a.diags[i].Pos, a.diags[j].Pos
-		if x.Filename != y.Filename {
-			return x.Filename < y.Filename
-		}
-		if x.Line != y.Line {
-			return x.Line < y.Line
-		}
-		return x.Column < y.Column
-	})
 	return a.diags
-}
-
-func (a *gfAnalyzer) report(pos token.Pos, format string, args ...any) {
-	if a.seen[pos] {
-		return
-	}
-	a.seen[pos] = true
-	a.diags = append(a.diags, a.u.diag("guardflow", pos, format, args...))
 }
 
 func (a *gfAnalyzer) reportObligation(ob gfObligation) {
@@ -234,8 +190,7 @@ func (a *gfAnalyzer) reportObligation(ob gfObligation) {
 	a.report(ob.pos, "%s without %s held on this path; acquire the guard, or bless the function via Config.GuardExemptFuncs if the object is provably unshared here", ob.desc, gfGuardNames(ob.guards))
 }
 
-// scanRefs walks the package once to classify literals (invoked vs
-// root) and count named-function uses vs call-position uses (a use
+// scanRefs walks the package once to find go-statement calls and count named-function uses vs call-position uses (a use
 // outside call position means unknown callers: the function is a root
 // even if also called directly).
 func (a *gfAnalyzer) scanRefs() {
@@ -246,14 +201,6 @@ func (a *gfAnalyzer) scanRefs() {
 			case *ast.GoStmt:
 				a.goCalls[n.Call] = true
 			case *ast.CallExpr:
-				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-					// A go-statement literal runs on a fresh lockset and
-					// stays a root; anything else is checked inline at
-					// its invocation site.
-					if !a.goCalls[n] {
-						a.invoked[lit.Body] = true
-					}
-				}
 				if fn := calleeFunc(info, n); fn != nil {
 					if _, inPkg := a.byFunc[fn]; inPkg {
 						a.calls[fn]++
@@ -275,7 +222,9 @@ func (a *gfAnalyzer) scanRefs() {
 // rather than propagated: no analyzable caller exists.
 func (a *gfAnalyzer) isRoot(fu *flowUnit) bool {
 	if fu.isClosure {
-		return !a.invoked[fu.body]
+		// A literal invoked in place is checked at its invocation; a go
+		// body, or one passed or stored, has no caller we can see.
+		return !a.u.invokedInPlace(fu)
 	}
 	if fu.fn == nil || fu.fn.Exported() {
 		return true
@@ -304,129 +253,6 @@ func (a *gfAnalyzer) resultOf(fu *flowUnit) *gfResult {
 	return r
 }
 
-func (a *gfAnalyzer) lattice() flowLattice[gfState] {
-	return flowLattice[gfState]{
-		transfer: a.transfer,
-		join:     gfJoin,
-		equal:    gfEqual,
-	}
-}
-
-func gfJoin(x, y gfState) gfState {
-	out := gfState{}
-	for k, mx := range x {
-		my, ok := y[k]
-		if !ok {
-			continue
-		}
-		switch {
-		case mx == my:
-			out[k] = mx
-		case (mx == gfHeldR && my == gfHeldW) || (mx == gfHeldW && my == gfHeldR):
-			out[k] = gfHeldR
-		}
-		// held on one path, released on the other: unknown — drop.
-	}
-	return out
-}
-
-func gfEqual(x, y gfState) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-type gfLockOp struct {
-	key     string
-	acquire bool
-	read    bool // RLock/RUnlock
-}
-
-// lockOps extracts the lock operations a node performs, reusing
-// lockorder's field resolution plus the trusted ISP stripe helpers.
-// Deferred unlocks are skipped: the lock stays held until return,
-// which is exactly what a must-hold analysis wants.
-func (a *gfAnalyzer) lockOps(n ast.Node) []gfLockOp {
-	var ops []gfLockOp
-	info := a.u.Pkg.Info
-	inspectShallow(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.DeferStmt); ok {
-			return false
-		}
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := ""
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		stripeKey := a.u.Pkg.ImportPath + ".accountStripe.mu"
-		switch name {
-		case "lockStripe", "lockTwoStripes":
-			ops = append(ops, gfLockOp{key: stripeKey, acquire: true})
-		case "unlockTwoStripes":
-			ops = append(ops, gfLockOp{key: stripeKey})
-		case "Lock", "RLock", "Unlock", "RUnlock":
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-				return true
-			}
-			owner, field, ok := lockField(a.u, sel.X)
-			if !ok {
-				return true
-			}
-			ops = append(ops, gfLockOp{
-				key:     a.u.Pkg.ImportPath + "." + owner + "." + field,
-				acquire: name == "Lock" || name == "RLock",
-				read:    name == "RLock" || name == "RUnlock",
-			})
-		}
-		return true
-	})
-	return ops
-}
-
-func (a *gfAnalyzer) transfer(s gfState, n ast.Node) gfState {
-	ops := a.lockOps(n)
-	if len(ops) == 0 {
-		return s
-	}
-	ns := s.clone()
-	for _, op := range ops {
-		switch {
-		case op.acquire && !op.read:
-			ns[op.key] = gfHeldW
-		case op.acquire:
-			if ns[op.key] != gfHeldW {
-				ns[op.key] = gfHeldR
-			}
-		case !op.read:
-			// A write unlock proves no caller holds the lock either (a
-			// caller-held Mutex could not have been re-locked here).
-			ns[op.key] = gfReleased
-		default:
-			// RUnlock: the read side is shared, a caller may still hold
-			// it — back to unknown.
-			delete(ns, op.key)
-		}
-	}
-	return ns
-}
-
 // analyze runs the lockset flow over one unit and collects its unmet
 // obligations.
 func (a *gfAnalyzer) analyze(fu *flowUnit) *gfResult {
@@ -434,18 +260,9 @@ func (a *gfAnalyzer) analyze(fu *flowUnit) *gfResult {
 	if fu.fn != nil && inStringList(fu.qualifiedName(a.u.Pkg.ImportPath), a.u.Cfg.GuardExemptFuncs) {
 		return res
 	}
-	g := a.u.cfgOf(fu.body)
-	in := forwardFlow(g, gfState{}, a.lattice())
 	fresh := a.freshLocals(fu)
-	for _, blk := range g.blocks {
-		s, ok := in[blk]
-		if !ok {
-			continue // unreachable
-		}
-		for _, n := range blk.nodes {
-			a.checkNode(n, s, fresh, res)
-			s = a.transfer(s, n)
-		}
+	for n, s := range a.u.locksetOf(fu).all {
+		a.checkNode(n, s, fresh, res)
 	}
 	return res
 }
@@ -545,7 +362,7 @@ func (a *gfAnalyzer) fieldGuards(sel *ast.SelectorExpr) (string, []gfGuard, bool
 
 // checkNode checks every guarded-field access and in-package call in
 // one CFG node against the lockset s.
-func (a *gfAnalyzer) checkNode(n ast.Node, s gfState, fresh map[types.Object]bool, res *gfResult) {
+func (a *gfAnalyzer) checkNode(n ast.Node, s lockState, fresh map[types.Object]bool, res *gfResult) {
 	info := a.u.Pkg.Info
 
 	// First sweep: which selectors are written?
@@ -616,7 +433,7 @@ func (a *gfAnalyzer) checkNode(n ast.Node, s gfState, fresh map[types.Object]boo
 		}
 		state := s
 		if a.goCalls[call] {
-			state = gfState{}
+			state = lockState{}
 		}
 		var callee *flowUnit
 		name := ""
@@ -651,7 +468,7 @@ func (a *gfAnalyzer) checkNode(n ast.Node, s gfState, fresh map[types.Object]boo
 // checkAccess discharges, dooms, or records one obligation. The
 // position baked into desc survives propagation, so a root-level
 // finding names the ultimate access site.
-func (a *gfAnalyzer) checkAccess(s gfState, res *gfResult, ob gfObligation) {
+func (a *gfAnalyzer) checkAccess(s lockState, res *gfResult, ob gfObligation) {
 	if gfSatisfied(s, ob) {
 		return
 	}

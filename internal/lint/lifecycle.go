@@ -67,10 +67,9 @@ func runLifecycle(u *Unit) []Diagnostic {
 	}
 	units, byFunc, _ := u.flowInfo()
 	a := &lcAnalyzer{
-		u:       u,
-		byFunc:  byFunc,
-		errType: types.Universe.Lookup("error").Type(),
-		seen:    map[token.Pos]bool{},
+		passDiags: passDiags{u: u, pass: "lifecycle"},
+		byFunc:    byFunc,
+		errType:   types.Universe.Lookup("error").Type(),
 	}
 	for _, f := range u.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -83,30 +82,13 @@ func runLifecycle(u *Unit) []Diagnostic {
 	for _, fu := range units {
 		a.checkResources(fu)
 	}
-	sort.Slice(a.diags, func(i, j int) bool {
-		x, y := a.diags[i].Pos, a.diags[j].Pos
-		if x.Filename != y.Filename {
-			return x.Filename < y.Filename
-		}
-		return x.Line < y.Line
-	})
 	return a.diags
 }
 
 type lcAnalyzer struct {
-	u       *Unit
+	passDiags
 	byFunc  map[*types.Func]*flowUnit
 	errType types.Type
-	diags   []Diagnostic
-	seen    map[token.Pos]bool
-}
-
-func (a *lcAnalyzer) report(pos token.Pos, format string, args ...any) {
-	if pos == 0 || a.seen[pos] {
-		return
-	}
-	a.seen[pos] = true
-	a.diags = append(a.diags, a.u.diag("lifecycle", pos, format, args...))
 }
 
 // --- goroutine check ---

@@ -11,8 +11,8 @@
 //   - detrand: wall-clock reads, global math/rand draws, and map
 //     iteration feeding output inside determinism-critical packages
 //     (the seeded simulator and everything zsim's golden output covers);
-//   - lockorder: within internal/isp, mutex acquisitions must respect
-//     freeze → stripes → cold order, never double-acquire a rank, and
+//   - lockorder: within internal/isp, no lock is acquired while one of
+//     the same or a higher rank (freeze → stripes → cold) is held, and
 //     every Lock needs a matching Unlock;
 //   - ledgerguard: e-penny ledger fields (balance, credit, avail,
 //     account) may only be written by their owning package;
@@ -33,10 +33,9 @@
 //     arrays, nonce counters, bank accounts/seq) is paired with a WAL
 //     append on every non-error exit path, so a crash at any instant
 //     replays to the state the locks protected;
-//   - lockscope: held-set simulation across the federation packages —
-//     no network I/O, channel operation, or other blocking call may run
-//     under a held stripe, bank, or node mutex (the uplink mutex, whose
-//     job is serializing a connection, is config-allowed);
+//   - lockscope: no network I/O, channel operation, or other blocking
+//     call may run under a held stripe, bank, or node mutex (the uplink
+//     mutex, whose job is serializing a connection, is config-allowed);
 //   - lifecycle: every spawned goroutine has a shutdown path (WaitGroup
 //     join, stop-channel select, or an allowlisted self-terminating
 //     call) and every acquired closeable resource (listeners, conns,
@@ -49,6 +48,9 @@
 //     sync/atomic are never also accessed plainly; and variables
 //     captured into go bodies are guarded, channel-transferred,
 //     per-iteration, or explicitly blessed.
+//
+// lockorder, lockscope and guardflow are queries over one lockset
+// engine: the must-hold lockset at every CFG node (lockset.go).
 //
 // A finding that is intentional is silenced in place with
 //
@@ -106,6 +108,8 @@ type Unit struct {
 	flowByFunc map[*types.Func]*flowUnit
 	flowByBody map[*ast.BlockStmt]*flowUnit
 	cfgs       map[*ast.BlockStmt]*cfg
+	locksets   map[*ast.BlockStmt]*lockset
+	invoked    map[*ast.BlockStmt]lockState // entry lockset of literals invoked in place
 }
 
 // diag is the helper passes use to report at a token.Pos.
@@ -115,6 +119,26 @@ func (u *Unit) diag(pass string, pos token.Pos, format string, args ...any) Diag
 		Pass: pass,
 		Msg:  fmt.Sprintf(format, args...),
 	}
+}
+
+// passDiags collects one pass's findings over one Unit, at most one per
+// position; Run sorts them.
+type passDiags struct {
+	u     *Unit
+	pass  string
+	seen  map[token.Pos]bool
+	diags []Diagnostic
+}
+
+func (d *passDiags) report(pos token.Pos, format string, args ...any) {
+	if pos == token.NoPos || d.seen[pos] {
+		return
+	}
+	if d.seen == nil {
+		d.seen = map[token.Pos]bool{}
+	}
+	d.seen[pos] = true
+	d.diags = append(d.diags, d.u.diag(d.pass, pos, format, args...))
 }
 
 // Config scopes the passes. The zero value runs nothing; DefaultConfig
@@ -178,8 +202,6 @@ type Config struct {
 	// from a snapshot or the log itself.
 	WALExemptFuncs []string
 
-	// LockScopePkgs are import-path prefixes where lockscope applies.
-	LockScopePkgs []string
 	// LockScopeBlockingFuncs ("importpath.Name" or
 	// "importpath.Recv.Name") are known-blocking calls beyond the built
 	// in net-package detection: wire codec reads/writes, SMTP dials,
@@ -190,9 +212,9 @@ type Config struct {
 	// mutex); ops under only these locks are not findings.
 	LockScopeAllowedLocks []string
 
-	// GuardflowPkgs are import-path prefixes where guardflow applies:
-	// every package whose structs are mutated from more than one
-	// goroutine.
+	// GuardflowPkgs are import-path prefixes where guardflow and
+	// lockscope apply: every package whose structs are mutated from
+	// more than one goroutine.
 	GuardflowPkgs []string
 	// GuardedFields maps each shared field, as
 	// "importpath.Owner.field", to the guards that protect it, each
@@ -333,13 +355,6 @@ func DefaultConfig() Config {
 			// RestoreState *is* the replay target.
 			"zmail/internal/isp:New", "zmail/internal/isp:RestoreState",
 			"zmail/internal/bank:New", "zmail/internal/bank:RestoreState",
-		},
-		LockScopePkgs: []string{
-			"zmail/internal/isp",
-			"zmail/internal/bank",
-			"zmail/internal/core",
-			"zmail/internal/cluster",
-			"zmail/internal/mempool",
 		},
 		LockScopeBlockingFuncs: []string{
 			"zmail/internal/wire.ReadEnvelope",
@@ -514,7 +529,6 @@ func FixtureConfig(fixturePkg string) Config {
 	cfg.WALFields = append(cfg.WALFields, "vault.stash", "vault.tokens")
 	cfg.WALAppendFuncs = append(cfg.WALAppendFuncs, fixturePkg+":walAppend")
 	cfg.WALExemptFuncs = append(cfg.WALExemptFuncs, fixturePkg+":blessedRestore")
-	cfg.LockScopePkgs = append(cfg.LockScopePkgs, fixturePkg)
 	cfg.LockScopeBlockingFuncs = append(cfg.LockScopeBlockingFuncs, fixturePkg+".slowRPC")
 	// Lockset tier: fixtures guard "vault.coins" with a plain mutex and
 	// "vault.open" with an RWMutex, bless "blessedInit" as a
@@ -622,7 +636,10 @@ func RunTimed(pkgs []*Package, passes []Pass, cfg Config) ([]Diagnostic, []PassT
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return out[i].Pass < out[j].Pass
+		if out[i].Pass != out[j].Pass {
+			return out[i].Pass < out[j].Pass
+		}
+		return a.Column < b.Column
 	})
 	return out, timings
 }

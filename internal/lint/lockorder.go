@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -12,9 +11,9 @@ import (
 //	freezeMu → stripe locks (ascending index) → cold mu
 //
 // and every deadlock found since the PR 1 sharding has been a violation
-// of it. The pass walks each function, tracking the set of lock ranks
-// held (branch bodies are explored with a copy of the held set, so
-// alternative arms don't contaminate each other), and reports:
+// of it. The pass is a rank query over the shared lockset engine
+// (lockset.go): at each acquire it looks at the locks provably held on
+// every path to that node, and reports
 //
 //   - acquiring a lower-ranked lock while holding a higher-ranked one
 //     (an inversion: another goroutine running the documented order can
@@ -22,12 +21,12 @@ import (
 //   - acquiring a rank already held (self-deadlock for the mutexes;
 //     for stripes, two raw stripe locks held at once must go through
 //     lockTwoStripes, which orders by index);
-//   - a function that acquires a rank and never releases it on any
-//     path, by defer or by call.
+//   - a function that acquires a rank and never releases it anywhere,
+//     by defer or by call.
 //
-// Deferred unlocks count as releases but keep the lock held for
-// ordering purposes until the function returns, matching runtime
-// behavior.
+// Deferred unlocks keep the lock held for ordering purposes until the
+// function returns, matching runtime behavior. The trusted stripe
+// helpers' own bodies are not checked.
 func LockOrder() Pass {
 	return Pass{
 		Name: "lockorder",
@@ -36,8 +35,8 @@ func LockOrder() Pass {
 	}
 }
 
-// Lock ranks, low to high. Acquisitions must be non-decreasing —
-// strictly increasing, since re-acquiring a held rank is also flagged.
+// Lock ranks for lockorder, low to high. Acquisitions must be strictly
+// increasing: re-acquiring a held rank is flagged too.
 const (
 	rankFreeze = iota // freezeMu (RWMutex snapshot gate)
 	rankStripe        // per-user account stripes
@@ -47,243 +46,99 @@ const (
 
 var rankNames = [numRanks]string{"freezeMu", "stripe lock", "cold mu"}
 
-// lockOp is one classified lock operation.
-type lockOp struct {
-	rank    int
-	acquire bool
-}
-
-// trustedLockPrimitives are the sanctioned acquisition helpers: they
-// acquire on behalf of their caller (so they "leak" a lock by design)
-// and lockTwoStripes orders the two stripes by index internally, which
-// a per-statement analysis cannot see. Everything else is checked.
-var trustedLockPrimitives = map[string]bool{
-	"lockStripe":       true,
-	"lockTwoStripes":   true,
-	"unlockTwoStripes": true,
+// lockRank ranks a lock key: freezeMu fields, then the mu of any type
+// named like a stripe, then every other mu. Other locks are unranked.
+func lockRank(key string) (int, bool) {
+	dot := strings.LastIndexByte(key, '.')
+	field := key[dot+1:]
+	owner := key[strings.LastIndexByte(key[:dot], '.')+1 : dot]
+	switch {
+	case field == "freezeMu":
+		return rankFreeze, true
+	case field == "mu" && strings.Contains(strings.ToLower(owner), "stripe"):
+		return rankStripe, true
+	case field == "mu":
+		return rankCold, true
+	}
+	return 0, false
 }
 
 func runLockOrder(u *Unit) []Diagnostic {
 	if !pathMatches(u.Pkg.ImportPath, u.Cfg.LockOrderPkgs) {
 		return nil
 	}
-	var out []Diagnostic
+	d := &passDiags{u: u, pass: "lockorder"}
+	units, _, _ := u.flowInfo()
 	for _, f := range u.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || trustedLockPrimitives[fd.Name.Name] {
 				continue
 			}
-			out = append(out, checkFuncLocks(u, fd)...)
-		}
-	}
-	return out
-}
-
-// lockWalker carries per-function accounting.
-type lockWalker struct {
-	u        *Unit
-	diags    []Diagnostic
-	acquired [numRanks]int // total acquisitions seen anywhere in the function
-	released [numRanks]int // total releases (immediate or deferred)
-}
-
-func checkFuncLocks(u *Unit, fd *ast.FuncDecl) []Diagnostic {
-	w := &lockWalker{u: u}
-	var held [numRanks]int
-	w.walkStmts(fd.Body.List, &held)
-	for r := 0; r < numRanks; r++ {
-		if w.acquired[r] > 0 && w.released[r] == 0 {
-			w.diags = append(w.diags, u.diag("lockorder", fd.Pos(),
-				"%s acquires the %s but never releases it (no Unlock or defer on any path)",
-				fd.Name.Name, rankNames[r]))
-		}
-	}
-	return w.diags
-}
-
-// walkStmts processes statements in source order, mutating held.
-// Branch bodies get a copy of held: arms of an if/switch are
-// alternatives, and a lock taken in one arm is not held in the next.
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held *[numRanks]int) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held *[numRanks]int) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			w.applyCall(call, held, false)
-		}
-	case *ast.DeferStmt:
-		w.applyCall(s.Call, held, true)
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		branch := *held
-		w.walkStmts(s.Body.List, &branch)
-		if s.Else != nil {
-			alt := *held
-			w.walkStmt(s.Else, &alt)
-		}
-	case *ast.ForStmt:
-		branch := *held
-		if s.Init != nil {
-			w.walkStmt(s.Init, &branch)
-		}
-		if s.Body != nil {
-			w.walkStmts(s.Body.List, &branch)
-		}
-	case *ast.RangeStmt:
-		branch := *held
-		w.walkStmts(s.Body.List, &branch)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := *held
-				w.walkStmts(cc.Body, &branch)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := *held
-				w.walkStmts(cc.Body, &branch)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := *held
-				w.walkStmts(cc.Body, &branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.GoStmt:
-		// A spawned goroutine starts with no locks held.
-		var fresh [numRanks]int
-		if fn, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(fn.Body.List, &fresh)
-		}
-	}
-}
-
-// applyCall classifies one call as a lock operation and updates held.
-// Deferred releases are counted for balance but do not release the rank
-// for ordering — the lock stays held until return.
-func (w *lockWalker) applyCall(call *ast.CallExpr, held *[numRanks]int, deferred bool) {
-	op, ok := w.classify(call)
-	if !ok {
-		// Function literals invoked or passed inline still execute; walk
-		// their bodies with the current held set (e.g. emitQueue closures
-		// are queued, but queued closures run after unlock — they are
-		// added, not run, so skip them; only direct invocation matters).
-		if lit, okLit := call.Fun.(*ast.FuncLit); okLit {
-			w.walkStmts(lit.Body.List, held)
-		}
-		return
-	}
-	if op.acquire {
-		w.acquired[op.rank]++
-		for r := op.rank; r < numRanks; r++ {
-			if held[r] > 0 {
-				verb := "acquires"
-				what := "inverts the freeze → stripes → cold order"
-				if r == op.rank {
-					what = "is already held (self-deadlock, or unordered double acquisition)"
-					if op.rank == rankStripe {
-						what = "is already held; two stripes must be taken via lockTwoStripes (ascending index)"
-					}
+			for _, fu := range units {
+				if fu.pos >= fd.Pos() && fu.pos < fd.End() {
+					checkLockRanks(u, fu, d)
 				}
-				w.diags = append(w.diags, w.u.diag("lockorder", call.Pos(),
-					"%s %s while the %s %s", verb, rankNames[op.rank], rankNames[r], what))
-				break
 			}
+			checkLockBalance(u, fd, d)
 		}
-		held[op.rank]++
-		return
 	}
-	w.released[op.rank]++
-	if !deferred && held[op.rank] > 0 {
-		held[op.rank]--
+	return d.diags
+}
+
+// checkLockRanks reports every acquire in fu that does not rank above
+// all locks held at that node.
+func checkLockRanks(u *Unit, fu *flowUnit, d *passDiags) {
+	for n, s := range u.locksetOf(fu).all {
+		for _, op := range u.lockOpsOf(n) {
+			if rank, ranked := lockRank(op.key); ranked && op.acquire {
+				if held, ok := heldRankFrom(s, rank); ok {
+					what := "inverts the freeze → stripes → cold order"
+					if held == rank {
+						what = "is already held (self-deadlock, or unordered double acquisition)"
+						if rank == rankStripe {
+							what = "is already held; two stripes must be taken via lockTwoStripes (ascending index)"
+						}
+					}
+					d.report(op.pos, "acquires %s while the %s %s", rankNames[rank], rankNames[held], what)
+				}
+			}
+			s = applyLockOp(s, op)
+		}
 	}
 }
 
-// classify maps a call expression to a lock operation:
-//
-//	<x>.freezeMu.Lock/RLock/Unlock/RUnlock        → freeze
-//	<stripe>.mu.Lock/Unlock                       → stripe
-//	lockStripe / lockTwoStripes / unlockTwoStripes → stripe
-//	<engine>.mu.Lock/Unlock                       → cold
-func (w *lockWalker) classify(call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		// Plain identifier call: unlockTwoStripes is package-level.
-		if id, okID := call.Fun.(*ast.Ident); okID {
-			switch id.Name {
-			case "lockStripe", "lockTwoStripes":
-				return lockOp{rank: rankStripe, acquire: true}, true
-			case "unlockTwoStripes":
-				return lockOp{rank: rankStripe, acquire: false}, true
-			}
-		}
-		return lockOp{}, false
-	}
-	switch sel.Sel.Name {
-	case "lockStripe", "lockTwoStripes":
-		return lockOp{rank: rankStripe, acquire: true}, true
-	case "unlockTwoStripes":
-		return lockOp{rank: rankStripe, acquire: false}, true
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		acquire := sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock"
-		owner, field, ok := lockField(w.u, sel.X)
-		if !ok {
-			return lockOp{}, false
-		}
-		switch {
-		case field == "freezeMu":
-			return lockOp{rank: rankFreeze, acquire: acquire}, true
-		case field == "mu" && strings.Contains(strings.ToLower(owner), "stripe"):
-			return lockOp{rank: rankStripe, acquire: acquire}, true
-		case field == "mu":
-			return lockOp{rank: rankCold, acquire: acquire}, true
+// heldRankFrom returns the lowest rank at or above from with a lock
+// held in s.
+func heldRankFrom(s lockState, from int) (int, bool) {
+	best := numRanks
+	for key := range s {
+		if r, ok := lockRank(key); ok && r >= from && r < best && s.held(key) {
+			best = r
 		}
 	}
-	return lockOp{}, false
+	return best, best < numRanks
 }
 
-// lockField resolves the expression a Lock method is called on to
-// (owning type name, field name): e.freezeMu → ("Engine", "freezeMu"),
-// s.mu → ("accountStripe", "mu").
-func lockField(u *Unit, x ast.Expr) (owner, field string, ok bool) {
-	sel, okSel := x.(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", false
-	}
-	tv, okTV := u.Pkg.Info.Types[sel.X]
-	if !okTV {
-		return "", "", false
-	}
-	t := tv.Type
-	for {
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-			continue
+// checkLockBalance reports a function that acquires a rank and never
+// releases it anywhere in its body, nested literals included.
+func checkLockBalance(u *Unit, fd *ast.FuncDecl, d *passDiags) {
+	var acquired, releasedAny [numRanks]bool
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if op, ok := u.classifyLockOp(call); ok {
+				if r, ranked := lockRank(op.key); ranked {
+					acquired[r] = acquired[r] || op.acquire
+					releasedAny[r] = releasedAny[r] || !op.acquire
+				}
+			}
 		}
-		break
+		return true
+	})
+	for r := 0; r < numRanks; r++ {
+		if acquired[r] && !releasedAny[r] {
+			d.diags = append(d.diags, u.diag(d.pass, fd.Pos(),
+				"%s acquires the %s but never releases it (no Unlock or defer on any path)", fd.Name.Name, rankNames[r]))
+		}
 	}
-	named, okN := t.(*types.Named)
-	if !okN {
-		return "", "", false
-	}
-	return named.Obj().Name(), sel.Sel.Name, true
 }

@@ -10,21 +10,18 @@ package lint
 // for every contender of that lock (the §3 audit round and the SMTP
 // accept path both funnel through them).
 //
-// The walker simulates the held-lock set per function in source order,
-// exactly like lockorder: branch arms get copies, goroutine bodies
-// start fresh, deferred unlocks keep the lock held until return, and
-// function literals passed as arguments (the emit-queue idiom — queued
-// closures run after unlock) are skipped while directly-invoked
-// literals run inline. Blocking calls are recognized three ways: any
-// net-package call that can touch the wire, the configured list
-// (Config.LockScopeBlockingFuncs: wire codec, SMTP, transport
-// callbacks, time.Sleep, WaitGroup.Wait), and transitively — an
-// in-package function that performs a blocking operation is itself
-// blocking to its callers. Calls through func-valued struct fields
-// (forward hooks, injected loggers) are flagged too: the field's value
-// is arbitrary caller code. Locks whose documented job is serializing
-// a connection (core.Uplink.mu) are excused via
-// Config.LockScopeAllowedLocks.
+// The pass is a query over the shared lockset engine (lockset.go): at
+// every CFG node it runs the blocking checks and reports any that run
+// while a lock is provably held on every path to that node. Blocking
+// calls are recognized three ways: any net-package call that can touch
+// the wire, the configured list (Config.LockScopeBlockingFuncs: wire
+// codec, SMTP, transport callbacks, time.Sleep, WaitGroup.Wait), and
+// transitively — an in-package function that performs a blocking
+// operation is itself blocking to its callers. Calls through
+// func-valued struct fields (forward hooks, injected loggers) are
+// flagged too: the field's value is arbitrary caller code. Locks whose
+// documented job is serializing a connection (core.Uplink.mu) are
+// excused via Config.LockScopeAllowedLocks.
 
 import (
 	"go/ast"
@@ -53,53 +50,24 @@ var lsNonBlockingNetMethods = map[string]bool{
 }
 
 func runLockScope(u *Unit) []Diagnostic {
-	if !pathMatches(u.Pkg.ImportPath, u.Cfg.LockScopePkgs) {
+	if !pathMatches(u.Pkg.ImportPath, u.Cfg.GuardflowPkgs) {
 		return nil
 	}
-	w := &lsWalker{
-		u:        u,
-		mayBlock: map[*types.Func]string{},
+	c := &lsChecker{
+		passDiags: passDiags{u: u, pass: "lockscope"},
+		mayBlock:  map[*types.Func]string{},
 	}
-	_, w.byFunc, _ = u.flowInfo()
-	w.computeMayBlock()
-	for _, f := range u.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			held := lsHeld{}
-			w.walkStmts(fd.Body.List, held)
-		}
+	c.computeMayBlock()
+	units, _, _ := u.flowInfo()
+	for _, fu := range units {
+		c.checkUnit(fu)
 	}
-	sort.Slice(w.diags, func(i, j int) bool {
-		a, b := w.diags[i].Pos, w.diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return w.diags
+	return c.diags
 }
 
-// lsHeld is the held-lock set: "<importpath>.<Owner>.<field>" → the
-// acquisition position.
-type lsHeld map[string]token.Pos
-
-func (h lsHeld) clone() lsHeld {
-	n := make(lsHeld, len(h))
-	for k, v := range h {
-		n[k] = v
-	}
-	return n
-}
-
-type lsWalker struct {
-	u        *Unit
-	byFunc   map[*types.Func]*flowUnit
+type lsChecker struct {
+	passDiags
 	mayBlock map[*types.Func]string // in-package func → why it blocks
-	diags    []Diagnostic
-	seen     map[token.Pos]bool
 }
 
 // qualifiedFuncName renders a *types.Func as "pkgpath.Name" or
@@ -120,9 +88,9 @@ func qualifiedFuncName(fn *types.Func) string {
 
 // blockingCall classifies one resolved call: is it a known-blocking
 // operation, and how should the finding describe it?
-func (w *lsWalker) blockingCall(fn *types.Func) (string, bool) {
+func (c *lsChecker) blockingCall(fn *types.Func) (string, bool) {
 	q := qualifiedFuncName(fn)
-	if inStringList(q, w.u.Cfg.LockScopeBlockingFuncs) {
+	if inStringList(q, c.u.Cfg.LockScopeBlockingFuncs) {
 		return q + " blocks", true
 	}
 	if fn.Pkg() != nil && fn.Pkg().Path() == "net" && !lsNonBlockingNetMethods[fn.Name()] {
@@ -136,14 +104,14 @@ func (w *lsWalker) blockingCall(fn *types.Func) (string, bool) {
 // blocking operation directly (outside go statements and function
 // literals, which defer the work to another goroutine or a later call)
 // or calls an in-package function that does.
-func (w *lsWalker) computeMayBlock() {
-	info := w.u.Pkg.Info
+func (c *lsChecker) computeMayBlock() {
+	info := c.u.Pkg.Info
 	type fnDecl struct {
 		fn   *types.Func
 		body *ast.BlockStmt
 	}
 	var decls []fnDecl
-	for _, f := range w.u.Pkg.Files {
+	for _, f := range c.u.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -157,7 +125,7 @@ func (w *lsWalker) computeMayBlock() {
 	for changed := true; changed; {
 		changed = false
 		for _, d := range decls {
-			if _, done := w.mayBlock[d.fn]; done {
+			if _, done := c.mayBlock[d.fn]; done {
 				continue
 			}
 			reason := ""
@@ -179,11 +147,11 @@ func (w *lsWalker) computeMayBlock() {
 					if fn == nil {
 						return true
 					}
-					if desc, ok := w.blockingCall(fn); ok {
+					if desc, ok := c.blockingCall(fn); ok {
 						reason = "calls " + desc
 						return false
 					}
-					if why, ok := w.mayBlock[fn]; ok && why != "" {
+					if why, ok := c.mayBlock[fn]; ok && why != "" {
 						reason = "calls " + fn.Name() + ", which " + why
 						return false
 					}
@@ -191,7 +159,7 @@ func (w *lsWalker) computeMayBlock() {
 				return true
 			})
 			if reason != "" {
-				w.mayBlock[d.fn] = reason
+				c.mayBlock[d.fn] = reason
 				changed = true
 			}
 		}
@@ -212,246 +180,88 @@ func lsInspectSync(n ast.Node, visit func(ast.Node) bool) {
 	})
 }
 
-// effective returns the held locks that are not config-allowed.
-func (w *lsWalker) effective(held lsHeld) []string {
-	var out []string
-	for k := range held {
-		if !inStringList(k, w.u.Cfg.LockScopeAllowedLocks) {
-			out = append(out, k)
+// flag reports one blocking operation if s holds a lock that is not
+// config-allowed, naming the first such lock.
+func (c *lsChecker) flag(pos token.Pos, desc string, s lockState) {
+	var locks []string
+	for k := range s {
+		if s.held(k) && !inStringList(k, c.u.Cfg.LockScopeAllowedLocks) {
+			locks = append(locks, k)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-func (w *lsWalker) report(pos token.Pos, format string, args ...any) {
-	if w.seen == nil {
-		w.seen = map[token.Pos]bool{}
-	}
-	if w.seen[pos] {
-		return
-	}
-	w.seen[pos] = true
-	w.diags = append(w.diags, w.u.diag("lockscope", pos, format, args...))
-}
-
-// flag reports one blocking operation under the held set.
-func (w *lsWalker) flag(pos token.Pos, desc string, held lsHeld) {
-	locks := w.effective(held)
 	if len(locks) == 0 {
 		return
 	}
-	w.report(pos, "%s while holding %s: every contender of the lock stalls behind this operation; move it outside the critical section (the emit-queue idiom), or allow the lock via Config.LockScopeAllowedLocks", desc, locks[0])
+	sort.Strings(locks)
+	c.report(pos, "%s while holding %s: every contender of the lock stalls behind this operation; move it outside the critical section (the emit-queue idiom), or allow the lock via Config.LockScopeAllowedLocks", desc, locks[0])
 }
 
-func (w *lsWalker) walkStmts(stmts []ast.Stmt, held lsHeld) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lsWalker) walkStmt(s ast.Stmt, held lsHeld) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if w.applyLockOp(call, held, false) {
-				return
-			}
+// checkUnit runs the blocking checks at every reachable node of one
+// flow unit against the lockset there.
+func (c *lsChecker) checkUnit(fu *flowUnit) {
+	ls := c.u.locksetOf(fu)
+	// Select comm clauses are judged with their select: with a default
+	// arm none of them parks, without one the select itself is flagged.
+	comms := map[ast.Node]bool{}
+	inspectShallow(fu.body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectStmt)
+		if !ok {
+			return true
 		}
-		w.scanExpr(s.X, held)
-	case *ast.DeferStmt:
-		// Deferred unlocks keep the lock held until return; deferred
-		// cleanup calls run at exit order and are not flagged here.
-		w.applyLockOp(s.Call, held, true)
-	case *ast.SendStmt:
-		w.flag(s.Arrow, "channel send", held)
-		w.scanExpr(s.Chan, held)
-		w.scanExpr(s.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		branch := held.clone()
-		w.walkStmts(s.Body.List, branch)
-		if s.Else != nil {
-			alt := held.clone()
-			w.walkStmt(s.Else, alt)
-		}
-	case *ast.ForStmt:
-		branch := held.clone()
-		if s.Init != nil {
-			w.walkStmt(s.Init, branch)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, branch)
-		}
-		if s.Body != nil {
-			w.walkStmts(s.Body.List, branch)
-		}
-		if s.Post != nil {
-			w.walkStmt(s.Post, branch)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		branch := held.clone()
-		w.walkStmts(s.Body.List, branch)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := held.clone()
-				w.walkStmts(cc.Body, branch)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := held.clone()
-				w.walkStmts(cc.Body, branch)
-			}
-		}
-	case *ast.SelectStmt:
 		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+		for _, c := range sel.Body.List {
+			cc := c.(*ast.CommClause)
+			comms[cc.Comm] = true
+			hasDefault = hasDefault || cc.Comm == nil
+		}
+		if s, ok := ls.end[ls.g.selects[sel]]; ok && !hasDefault {
+			c.flag(sel.Select, "select with no default (parks the goroutine)", s)
+		}
+		return true
+	})
+	for n, s := range ls.all {
+		switch n.(type) {
+		case *ast.GoStmt, *ast.DeferStmt:
+			// A spawned goroutine blocks nobody here; deferred calls run
+			// at exit and are not judged at the defer.
+		default:
+			if !comms[n] {
+				c.checkNode(n, s)
 			}
-		}
-		if !hasDefault {
-			w.flag(s.Select, "select with no default (parks the goroutine)", held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := held.clone()
-				w.walkStmts(cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.GoStmt:
-		// A spawned goroutine starts with no locks held; starting it
-		// does not block the spawner.
-		if fn, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(fn.Body.List, lsHeld{})
 		}
 	}
 }
 
-// applyLockOp classifies a call as a lock operation and updates held,
-// reporting whether it was one. Reuses lockorder's resolution: sync
-// Lock/RLock/Unlock/RUnlock on a named struct field, plus the trusted
-// ISP stripe helpers (which acquire accountStripe.mu on behalf of the
-// caller).
-func (w *lsWalker) applyLockOp(call *ast.CallExpr, held lsHeld, deferred bool) bool {
-	name := ""
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
-	stripeKey := w.u.Pkg.ImportPath + ".accountStripe.mu"
-	switch name {
-	case "lockStripe", "lockTwoStripes":
-		held[stripeKey] = call.Pos()
-		return true
-	case "unlockTwoStripes":
-		if !deferred {
-			delete(held, stripeKey)
-		}
-		return true
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		fn, ok := w.u.Pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return false
-		}
-		owner, field, ok := lockField(w.u, sel.X)
-		if !ok {
-			return false
-		}
-		key := w.u.Pkg.ImportPath + "." + owner + "." + field
-		if name == "Lock" || name == "RLock" {
-			held[key] = call.Pos()
-		} else if !deferred {
-			delete(held, key)
-		}
-		return true
-	}
-	return false
-}
-
-// scanExpr flags blocking operations inside one expression, walking
-// directly-invoked function literals inline with the current held set
-// (argument-position literals are queued work and skipped).
-func (w *lsWalker) scanExpr(e ast.Expr, held lsHeld) {
-	if e == nil {
-		return
-	}
-	inspectShallow(e, func(n ast.Node) bool {
-		switch n := n.(type) {
+// checkNode flags the blocking operations inside one CFG node.
+func (c *lsChecker) checkNode(n ast.Node, s lockState) {
+	inspectShallow(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.SendStmt:
+			c.flag(m.Arrow, "channel send", s)
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.flag(n.Pos(), "channel receive", held)
+			if m.Op == token.ARROW {
+				c.flag(m.Pos(), "channel receive", s)
 			}
 		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				w.walkStmts(lit.Body.List, held)
-				return true
-			}
-			fn := calleeFunc(w.u.Pkg.Info, n)
+			fn := calleeFunc(c.u.Pkg.Info, m)
 			if fn == nil {
 				// A dynamic call through a func-valued struct field runs
 				// arbitrary caller code (forward hooks, injected loggers).
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if s, ok := w.u.Pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-						if _, isSig := s.Type().Underlying().(*types.Signature); isSig {
-							w.flag(n.Pos(), "call through func-valued field "+sel.Sel.Name, held)
+				if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok {
+					if sl, ok := c.u.Pkg.Info.Selections[sel]; ok && sl.Kind() == types.FieldVal {
+						if _, isSig := sl.Type().Underlying().(*types.Signature); isSig {
+							c.flag(m.Pos(), "call through func-valued field "+sel.Sel.Name, s)
 						}
 					}
 				}
 				return true
 			}
-			if desc, ok := w.blockingCall(fn); ok {
-				w.flag(n.Pos(), desc, held)
+			if desc, ok := c.blockingCall(fn); ok {
+				c.flag(m.Pos(), desc, s)
 				return true
 			}
-			if why, ok := w.mayBlock[fn]; ok && why != "" {
-				w.flag(n.Pos(), "call to "+fn.Name()+", which "+why, held)
+			if why, ok := c.mayBlock[fn]; ok && why != "" {
+				c.flag(m.Pos(), "call to "+fn.Name()+", which "+why, s)
 			}
 		}
 		return true
