@@ -50,3 +50,17 @@ func (e *engine) Leaky() { //want lockorder
 	e.mu.Lock()
 	e.stripes = nil
 }
+
+// ColdOnEveryArm takes the cold mutex on each arm of the branch, so
+// every path reaches the freeze acquire holding it.
+func (e *engine) ColdOnEveryArm(fast bool) {
+	if fast {
+		e.mu.Lock()
+	} else {
+		e.stripes = nil
+		e.mu.Lock()
+	}
+	e.freezeMu.RLock() //want lockorder
+	e.freezeMu.RUnlock()
+	e.mu.Unlock()
+}

@@ -48,3 +48,16 @@ func (b *box) HookUnderLock() {
 	b.emit(b.hits) //want lockscope
 	b.mu.Unlock()
 }
+
+// LockOnEveryArm takes the lock on each arm of the branch, so every
+// path reaches the call holding it.
+func (b *box) LockOnEveryArm(fast bool) {
+	if fast {
+		b.mu.Lock()
+	} else {
+		b.hits++
+		b.mu.Lock()
+	}
+	slowRPC() //want lockscope
+	b.mu.Unlock()
+}

@@ -55,3 +55,30 @@ func (b *box) SpawnUnderLock(done chan struct{}) {
 		slowRPC()
 	}()
 }
+
+// UnlockOnEveryArm releases the lock on each arm of the branch before
+// blocking: no path reaches the call holding it.
+func (b *box) UnlockOnEveryArm(fast bool) {
+	b.mu.Lock()
+	if fast {
+		b.mu.Unlock()
+	} else {
+		b.hits++
+		b.mu.Unlock()
+	}
+	slowRPC()
+}
+
+// UnlockOnEveryCase is the switch form: every case, default included,
+// releases before the call.
+func (b *box) UnlockOnEveryCase(mode int) {
+	b.mu.Lock()
+	switch mode {
+	case 0:
+		b.mu.Unlock()
+	default:
+		b.hits = mode
+		b.mu.Unlock()
+	}
+	slowRPC()
+}
