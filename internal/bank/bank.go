@@ -42,15 +42,11 @@ type Config struct {
 	// (required; crypto.Null{} acceptable in simulation).
 	OwnSealer crypto.Sealer
 	// SettleOnVerify moves real money between ISP accounts after each
-	// verified audit round, backing the period's e-penny flows (see
+	// verified audit round, backing the period's e-penny flows. Each
+	// ISP's positions against every verified counterparty net to one
+	// balance, and debtors pay creditors in a deterministic sweep (see
 	// settlement.go).
 	SettleOnVerify bool
-	// GroupSettle switches settlement from pairwise transfers to
-	// multilateral netting: each ISP's positions against every verified
-	// counterparty collapse into one net balance, and debtors pay
-	// creditors in a deterministic sweep (see settleNetLocked). Fewer,
-	// larger transfers per audit round; conservation is identical.
-	GroupSettle bool
 	// SettleRate is real pennies per e-penny for settlement; zero
 	// selects the nominal 1:1 rate.
 	SettleRate money.Penny
@@ -573,11 +569,7 @@ func (b *Bank) verifyLocked() {
 		}
 	}
 	if b.cfg.SettleOnVerify {
-		if b.cfg.GroupSettle {
-			b.settleNetLocked(flagged)
-		} else {
-			b.settleLocked(flagged)
-		}
+		b.settleNetLocked(flagged)
 	}
 	for i := range b.verify {
 		for j := range b.verify[i] {

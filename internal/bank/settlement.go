@@ -17,11 +17,16 @@ import (
 //	                     than it received  ⇒  isp[i] pays k pennies
 //	                     (at the e-penny rate) to isp[j].
 //
-// Settlement only runs for pairs whose reports verified (a flagged
-// pair is frozen for investigation instead — paying out on a cheater's
+// The bank does not pay pair by pair: each ISP's pairwise obligations
+// net to one position, and debtors pay creditors directly, so a round
+// needs at most N-1 transfers and, absent shortfalls, every account
+// lands where pairwise payment would have left it.
+//
+// Settlement only counts pairs whose reports verified (a flagged pair
+// is frozen for investigation instead — paying out on a cheater's
 // numbers would let understatement steal money, not just e-pennies).
 //
-// Enable it with Config.SettleOnVerify or call SettleLastRound.
+// Enable it with Config.SettleOnVerify.
 
 // Transfer records one inter-ISP settlement payment.
 type Transfer struct {
@@ -29,65 +34,18 @@ type Transfer struct {
 	Amount   money.Penny
 }
 
-// settleLocked moves real money for every verified pair using the
-// verify matrix as it stood at verification; call with b.mu held, after
-// verifyLocked has recorded violations but before the matrix is
-// cleared.
+// settleNetLocked moves real money for a verified round: each ISP's
+// pairwise nets collapse into a single signed position, and debtors
+// pay creditors in one deterministic sweep — both sides walked in
+// ascending index order, so the transfer list is a pure function of
+// the verify matrix. The net for pair (i, j) is taken from isp[i]'s
+// own report (verify[j][i] = credit_i[j]); flagged and non-compliant
+// pairs are left out. Because a pair contributes +net to one side and
+// -net to the other, positions sum to zero and account conservation is
+// structural.
 //
-// The net for pair (i, j) is taken from isp[i]'s own report
-// (verify[j][i] = credit_i[j]); the pair is skipped when flagged.
-func (b *Bank) settleLocked(flagged map[[2]int]bool) []Transfer {
-	n := b.cfg.NumISPs
-	var transfers []Transfer
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !b.compliant[i] || !b.compliant[j] || flagged[[2]int{i, j}] {
-				continue
-			}
-			net := b.verify[j][i] // credit_i[j] as reported by isp[i]
-			if net == 0 {
-				continue
-			}
-			payer, payee := i, j
-			amount := net
-			if amount < 0 {
-				payer, payee = j, i
-				amount = -amount
-			}
-			pennies := money.EPenny(amount).ToPennies(b.cfg.SettleRate)
-			// A payer whose account cannot cover the settlement goes
-			// into arrears: pay what is there and record the shortfall
-			// as a violation-grade event for the operator.
-			if b.account[payer] < pennies {
-				pennies = b.account[payer]
-				b.stats.SettlementShortfalls++
-			}
-			if pennies == 0 {
-				continue
-			}
-			b.account[payer] -= pennies
-			b.account[payee] += pennies
-			b.stats.SettledPennies += int64(pennies)
-			b.stats.SettlementTransfers++
-			transfers = append(transfers, Transfer{From: payer, To: payee, Amount: pennies})
-		}
-	}
-	b.lastTransfers = transfers
-	b.walSettle(transfers)
-	return transfers
-}
-
-// settleNetLocked is the multilateral variant of settleLocked
-// (Config.GroupSettle): instead of one transfer per verified pair, each
-// ISP's pairwise nets collapse into a single signed position, and
-// debtors pay creditors in one deterministic sweep — both sides walked
-// in ascending index order, so the transfer list is a pure function of
-// the verify matrix. Flagged and non-compliant pairs are excluded from
-// the netting exactly as they are from pairwise settlement. Because a
-// pair contributes +net to one side and -net to the other, positions
-// sum to zero and account conservation is structural.
-//
-// Call with b.mu held, under the same contract as settleLocked.
+// Call with b.mu held, after verifyLocked has recorded violations but
+// before the matrix is cleared.
 func (b *Bank) settleNetLocked(flagged map[[2]int]bool) []Transfer {
 	n := b.cfg.NumISPs
 	owes := make([]money.Penny, n) // >0: pays; <0: is owed

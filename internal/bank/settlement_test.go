@@ -9,10 +9,6 @@ import (
 )
 
 func newSettlingBank(t *testing.T, n int, funds money.Penny) (*Bank, *fakeTransport) {
-	return newSettlingBankMode(t, n, funds, false)
-}
-
-func newSettlingBankMode(t *testing.T, n int, funds money.Penny, group bool) (*Bank, *fakeTransport) {
 	t.Helper()
 	ft := newFake()
 	b, err := New(Config{
@@ -21,7 +17,6 @@ func newSettlingBankMode(t *testing.T, n int, funds money.Penny, group bool) (*B
 		Transport:      ft,
 		OwnSealer:      crypto.Null{},
 		SettleOnVerify: true,
-		GroupSettle:    group,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,92 +27,6 @@ func newSettlingBankMode(t *testing.T, n int, funds money.Penny, group bool) (*B
 		}
 	}
 	return b, ft
-}
-
-func TestSettlementMovesMoneyToNetReceivers(t *testing.T) {
-	b, _ := newSettlingBank(t, 3, 1000)
-	if err := b.StartSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// isp0 sent 5 net to isp1, isp1 sent 7 net to isp2, isp0 received
-	// 2 net from isp2 (so isp2 pays isp0... no: credit_2[0] = +2 means
-	// isp2 net-sent 2 to isp0, so isp2 pays isp0 2).
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 5, -2}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-5, 0, 7}))
-	_ = b.Handle(reportEnv(2, 0, []int64{2, -7, 0}))
-	if !b.RoundComplete() {
-		t.Fatal("round incomplete")
-	}
-	// Settlements: pair (0,1): credit_0[1]=+5 → isp0 pays isp1 5.
-	// Pair (0,2): credit_0[2]=-2 → isp2 pays isp0 2.
-	// Pair (1,2): credit_1[2]=+7 → isp1 pays isp2 7.
-	wantAccounts := []money.Penny{1000 - 5 + 2, 1000 + 5 - 7, 1000 + 7 - 2}
-	for i, want := range wantAccounts {
-		got, _ := b.Account(i)
-		if got != want {
-			t.Errorf("account[%d] = %v, want %v", i, got, want)
-		}
-	}
-	transfers := b.LastTransfers()
-	if len(transfers) != 3 {
-		t.Fatalf("transfers = %v", transfers)
-	}
-	st := b.Stats()
-	if st.SettledPennies != 14 || st.SettlementTransfers != 3 || st.SettlementShortfalls != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestSettlementConservesTotalMoney(t *testing.T) {
-	f := func(a, bb, c int16) bool {
-		bk, _ := newSettlingBank(t, 3, 100_000)
-		before := bk.TotalAccounts()
-		if err := bk.StartSnapshot(); err != nil {
-			return false
-		}
-		x, y, z := int64(a%1000), int64(bb%1000), int64(c%1000)
-		_ = bk.Handle(reportEnv(0, 0, []int64{0, x, -z}))
-		_ = bk.Handle(reportEnv(1, 0, []int64{-x, 0, y}))
-		_ = bk.Handle(reportEnv(2, 0, []int64{z, -y, 0}))
-		return bk.RoundComplete() && bk.TotalAccounts() == before && len(bk.Violations()) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSettlementSkipsFlaggedPairs(t *testing.T) {
-	b, _ := newSettlingBank(t, 2, 1000)
-	_ = b.StartSnapshot()
-	// isp1 understates: claims -3 where isp0 claims +10.
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 10}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-3, 0}))
-	if len(b.Violations()) != 1 {
-		t.Fatal("pair not flagged")
-	}
-	a0, _ := b.Account(0)
-	a1, _ := b.Account(1)
-	if a0 != 1000 || a1 != 1000 {
-		t.Fatalf("flagged pair settled anyway: %v/%v", a0, a1)
-	}
-	if len(b.LastTransfers()) != 0 {
-		t.Fatal("transfers recorded for a flagged round")
-	}
-}
-
-func TestSettlementShortfall(t *testing.T) {
-	b, _ := newSettlingBank(t, 2, 3) // isp0 can only cover 3 of 10
-	_ = b.StartSnapshot()
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 10}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-10, 0}))
-	a0, _ := b.Account(0)
-	a1, _ := b.Account(1)
-	if a0 != 0 || a1 != 6 {
-		t.Fatalf("shortfall accounts = %v/%v, want 0/6", a0, a1)
-	}
-	if b.Stats().SettlementShortfalls != 1 {
-		t.Fatal("shortfall not counted")
-	}
 }
 
 func TestSettlementRate(t *testing.T) {
@@ -152,15 +61,15 @@ func TestSettlementDisabledByDefault(t *testing.T) {
 }
 
 func TestGroupSettleNetsTransfers(t *testing.T) {
-	b, _ := newSettlingBankMode(t, 3, 1000, true)
+	b, _ := newSettlingBank(t, 3, 1000)
 	if err := b.StartSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// Same honest round as TestSettlementMovesMoneyToNetReceivers:
-	// pairwise positions are 0→1: 5, 1→2: 7, 2→0: 2, netting to
-	// owes = [+3, +2, -5]. The multilateral sweep settles the round in
-	// two transfers (0→2: 3, 1→2: 2) instead of three, moving 5 pennies
-	// instead of 14, with identical final accounts.
+	// An honest round with pairwise positions 0→1: 5, 1→2: 7, 2→0: 2,
+	// netting to owes = [+3, +2, -5]. The multilateral sweep settles the
+	// round in two transfers (0→2: 3, 1→2: 2) instead of three, moving 5
+	// pennies instead of 14, with the final accounts pairwise payment
+	// would leave.
 	_ = b.Handle(reportEnv(0, 0, []int64{0, 5, -2}))
 	_ = b.Handle(reportEnv(1, 0, []int64{-5, 0, 7}))
 	_ = b.Handle(reportEnv(2, 0, []int64{2, -7, 0}))
@@ -187,7 +96,7 @@ func TestGroupSettleNetsTransfers(t *testing.T) {
 
 func TestGroupSettleConservesTotalMoney(t *testing.T) {
 	f := func(a, bb, c int16) bool {
-		bk, _ := newSettlingBankMode(t, 3, 100_000, true)
+		bk, _ := newSettlingBank(t, 3, 100_000)
 		before := bk.TotalAccounts()
 		if err := bk.StartSnapshot(); err != nil {
 			return false
@@ -203,27 +112,50 @@ func TestGroupSettleConservesTotalMoney(t *testing.T) {
 	}
 }
 
+// pairwiseAccounts is the test oracle for netting: the accounts left by
+// paying every pair's net directly, pair by pair in index order, from
+// the payer's own report (credit_i[j] = reports[i][j]). A payer that
+// cannot cover a pair pays what it holds.
+func pairwiseAccounts(funds money.Penny, reports [][]int64) []money.Penny {
+	account := make([]money.Penny, len(reports))
+	for i := range account {
+		account[i] = funds
+	}
+	for i := range reports {
+		for j := i + 1; j < len(reports); j++ {
+			payer, payee, amount := i, j, money.Penny(reports[i][j])
+			if amount < 0 {
+				payer, payee, amount = j, i, -amount
+			}
+			amount = min(amount, account[payer])
+			account[payer] -= amount
+			account[payee] += amount
+		}
+	}
+	return account
+}
+
 func TestGroupSettleMatchesPairwiseAccounts(t *testing.T) {
-	// Netting changes the transfer list, never the final accounts: both
-	// modes must land every ISP on the same balance for honest rounds.
+	// Netting changes the transfer list, never the final accounts: every
+	// ISP must land on the balance pairwise payment would leave it for
+	// honest rounds.
 	f := func(a, bb, c int16) bool {
 		x, y, z := int64(a%1000), int64(bb%1000), int64(c%1000)
-		run := func(group bool) []money.Penny {
-			bk, _ := newSettlingBankMode(t, 3, 100_000, group)
-			if err := bk.StartSnapshot(); err != nil {
-				return nil
-			}
-			_ = bk.Handle(reportEnv(0, 0, []int64{0, x, -z}))
-			_ = bk.Handle(reportEnv(1, 0, []int64{-x, 0, y}))
-			_ = bk.Handle(reportEnv(2, 0, []int64{z, -y, 0}))
-			out := make([]money.Penny, 3)
-			for i := range out {
-				out[i], _ = bk.Account(i)
-			}
-			return out
+		reports := [][]int64{{0, x, -z}, {-x, 0, y}, {z, -y, 0}}
+		bk, _ := newSettlingBank(t, 3, 100_000)
+		if err := bk.StartSnapshot(); err != nil {
+			return false
 		}
-		pair, net := run(false), run(true)
-		return pair != nil && net != nil && pair[0] == net[0] && pair[1] == net[1] && pair[2] == net[2]
+		for i, r := range reports {
+			_ = bk.Handle(reportEnv(int32(i), 0, r))
+		}
+		want := pairwiseAccounts(100_000, reports)
+		for i := range want {
+			if got, _ := bk.Account(i); got != want[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -231,7 +163,7 @@ func TestGroupSettleMatchesPairwiseAccounts(t *testing.T) {
 }
 
 func TestGroupSettleShortfall(t *testing.T) {
-	b, _ := newSettlingBankMode(t, 2, 3, true) // isp0 can only cover 3 of 10
+	b, _ := newSettlingBank(t, 2, 3) // isp0 can only cover 3 of 10
 	_ = b.StartSnapshot()
 	_ = b.Handle(reportEnv(0, 0, []int64{0, 10}))
 	_ = b.Handle(reportEnv(1, 0, []int64{-10, 0}))
@@ -246,7 +178,7 @@ func TestGroupSettleShortfall(t *testing.T) {
 }
 
 func TestGroupSettleSkipsFlaggedPairs(t *testing.T) {
-	b, _ := newSettlingBankMode(t, 2, 1000, true)
+	b, _ := newSettlingBank(t, 2, 1000)
 	_ = b.StartSnapshot()
 	_ = b.Handle(reportEnv(0, 0, []int64{0, 10}))
 	_ = b.Handle(reportEnv(1, 0, []int64{-3, 0}))
@@ -257,6 +189,9 @@ func TestGroupSettleSkipsFlaggedPairs(t *testing.T) {
 	a1, _ := b.Account(1)
 	if a0 != 1000 || a1 != 1000 {
 		t.Fatalf("flagged pair netted anyway: %v/%v", a0, a1)
+	}
+	if len(b.LastTransfers()) != 0 {
+		t.Fatal("transfers recorded for a flagged round")
 	}
 }
 

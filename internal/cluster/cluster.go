@@ -81,8 +81,8 @@ type Config struct {
 	// admission; QueueDepth/QueueWorkers tune it (zero = defaults).
 	Queue                    bool
 	QueueDepth, QueueWorkers int
-	// GroupSettle enables settlement at every (leaf) bank with
-	// multilateral netting per verified audit round.
+	// GroupSettle makes every (leaf) bank settle each verified audit
+	// round.
 	GroupSettle bool
 
 	// WALDir, when set, gives every daemon a write-ahead log under
@@ -378,7 +378,6 @@ func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
 		InitialAccount: cfg.Funds,
 		OwnSealer:      crypto.Null{},
 		SettleOnVerify: cfg.GroupSettle,
-		GroupSettle:    cfg.GroupSettle,
 	}, "127.0.0.1:0", cfg.Logf)
 	if err != nil {
 		return bd, err
