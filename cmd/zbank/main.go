@@ -31,7 +31,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -123,10 +122,8 @@ func run(args []string) error {
 		funds      = fs.Int64("funds", 1_000_000, "initial real-penny account per compliant ISP")
 		auditEvery = fs.Duration("audit-every", 0, "run credit audits on this interval (0 = manual only)")
 		insecure   = fs.Bool("insecure", false, "use plaintext sealers (local experiments only)")
-		settle     = fs.Bool("settle", false, "move real money between ISP accounts after each verified audit round")
-		groupNet   = fs.Bool("group-settle", false, "net each round's settlement multilaterally (implies -settle)")
-		stateFile  = fs.String("state", "", "durable ledger file; loaded at start, saved after audits and on shutdown")
-		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged and boot replays the log (excludes -state)")
+		settle     = fs.Bool("settle", false, "net each verified audit round's obligations and move real money between ISP accounts")
+		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged and boot replays the log")
 		metricsAd  = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7071")
 	)
 	fs.Var(enrollments, "enroll", "index=pubkeyfile; repeatable, one per compliant ISP")
@@ -137,9 +134,6 @@ func run(args []string) error {
 	// misconfigured daemon dies with a usage message, not a half-boot.
 	if *isps <= 0 {
 		return usagef("-isps is required")
-	}
-	if *walDir != "" && *stateFile != "" {
-		return usagef("-wal and -state are mutually exclusive")
 	}
 	for _, a := range []struct{ name, addr string }{
 		{"-listen", *listen}, {"-root", *rootAddr}, {"-metrics", *metricsAd},
@@ -166,11 +160,11 @@ func run(args []string) error {
 		if *assignCSV == "" {
 			return usagef("-role root requires -assign")
 		}
-		if *walDir != "" || *stateFile != "" || *auditEvery != 0 {
-			return usagef("-wal/-state/-audit-every do not apply to -role root (the root holds no ledger and audits when the leaves report)")
+		if *walDir != "" || *auditEvery != 0 {
+			return usagef("-wal/-audit-every do not apply to -role root (the root holds no ledger and audits when the leaves report)")
 		}
-		if *settle || *groupNet {
-			return usagef("-settle/-group-settle do not apply to -role root (the root holds no accounts)")
+		if *settle {
+			return usagef("-settle does not apply to -role root (the root holds no accounts)")
 		}
 	default:
 		return usagef("unknown -role %q (want central, leaf, or root)", *role)
@@ -217,8 +211,7 @@ func run(args []string) error {
 		Compliant:      compliantMask,
 		InitialAccount: money.Penny(*funds),
 		OwnSealer:      ownSealer,
-		SettleOnVerify: *settle || *groupNet,
-		GroupSettle:    *groupNet,
+		SettleOnVerify: *settle,
 		Tracer:         trace.New("bank", -1, clock.System(), ring),
 	}, *listen, logf)
 	if err != nil {
@@ -283,9 +276,6 @@ func run(args []string) error {
 			}
 		}
 	}
-	if *walDir != "" && *stateFile != "" {
-		return fmt.Errorf("-wal and -state are mutually exclusive")
-	}
 	if *walDir != "" {
 		if persist.HasWAL(*walDir) {
 			if err := bk.RecoverWAL(*walDir); err != nil {
@@ -304,27 +294,17 @@ func run(args []string) error {
 			}
 		}()
 	}
-	if *stateFile != "" {
-		switch err := bk.LoadState(*stateFile); {
-		case err == nil:
-			logf("restored ledger from %s", *stateFile)
-		case errors.Is(err, persist.ErrNotExist):
-			logf("no prior state at %s; starting fresh", *stateFile)
-		default:
-			return fmt.Errorf("restore %s: %w", *stateFile, err)
-		}
-	}
-	saveState := func() {
+	syncWAL := func() {
 		// With a WAL attached SaveState ignores its path and fsyncs the
 		// log (compacting past the snapshot threshold).
-		if *stateFile == "" && *walDir == "" {
+		if *walDir == "" {
 			return
 		}
-		if err := bk.SaveState(*stateFile); err != nil {
-			logf("save state: %v", err)
+		if err := bk.SaveState(""); err != nil {
+			logf("sync wal: %v", err)
 		}
 	}
-	defer saveState()
+	defer syncWAL()
 
 	logf("listening on %s for %d ISPs (funds %v each)", srv.Addr(), *isps, money.Penny(*funds))
 
@@ -360,7 +340,7 @@ func run(args []string) error {
 				logf("VIOLATION: %v", v)
 			}
 			known = len(bk.Violations())
-			saveState()
+			syncWAL()
 		case <-stop:
 			logf("shutting down")
 			return nil

@@ -57,7 +57,6 @@ func TestZmaildUsageFailures(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"wal and state together", append(base, "-wal", t.TempDir(), "-state", t.TempDir()+"/s.json")},
 		{"listen without port", []string{"-index", "0", "-domains", "a.example", "-insecure", "-listen", "nonsense"}},
 		{"bank without port", append(base, "-bank", "bankhost")},
 		{"metrics without port", append(base, "-metrics", "127.0.0.1")},
