@@ -12,7 +12,7 @@
 //	zlint -list            # show the passes and their one-line docs
 //	zlint -format github   # emit GitHub Actions ::error annotations
 //	zlint -format json     # one JSON object per finding, one per line
-//	zlint -testdata internal/lint/testdata -expect 42
+//	zlint -testdata internal/lint/testdata -expect 83
 //	                       # self-test: sweep the fixture corpus and
 //	                       # pin the total finding count
 //
