@@ -209,8 +209,8 @@ func (c *lsChecker) checkUnit(fu *flowUnit) {
 			return true
 		}
 		hasDefault := false
-		for _, c := range sel.Body.List {
-			cc := c.(*ast.CommClause)
+		for _, clause := range sel.Body.List {
+			cc := clause.(*ast.CommClause)
 			comms[cc.Comm] = true
 			hasDefault = hasDefault || cc.Comm == nil
 		}
