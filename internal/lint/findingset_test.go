@@ -76,8 +76,8 @@ func fixtureDirs(t *testing.T) []string {
 //     FixtureConfig, after suppression (what `make lint-fixtures`
 //     counts);
 //   - the whole module with the lock passes and DefaultConfig, before
-//     suppression, so a finding that a //zlint:ignore directive
-//     silences stays pinned too.
+//     suppression, so a finding that an ignore directive silences stays
+//     pinned too.
 //
 // In both sweeps each lock pass is also run alone on fresh Units and
 // must reproduce exactly its rows of the combined run: the shared
