@@ -29,6 +29,124 @@ func newSettlingBank(t *testing.T, n int, funds money.Penny) (*Bank, *fakeTransp
 	return b, ft
 }
 
+func checkAccounts(t *testing.T, b *Bank, want []money.Penny) {
+	t.Helper()
+	for i, w := range want {
+		if got, _ := b.Account(i); got != w {
+			t.Errorf("account[%d] = %v, want %v", i, got, w)
+		}
+	}
+}
+
+func checkTransfers(t *testing.T, b *Bank, want []Transfer) {
+	t.Helper()
+	got := b.LastTransfers()
+	if len(got) != len(want) {
+		t.Fatalf("transfers = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("transfers = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestSettlementMovesMoneyToNetReceivers(t *testing.T) {
+	b, _ := newSettlingBank(t, 4, 1000)
+	if err := b.StartSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// Pairwise: isp0 pays isp1 4 and isp3 6, isp1 pays isp2 4, isp3
+	// pays isp2 1. Positions net to owes = [+10, 0, -5, -5]: isp1 passes
+	// its 4 straight through and takes part in no transfer, and the
+	// net receivers isp2 and isp3 are paid by the one net payer.
+	reports := [][]int64{{0, 4, 0, 6}, {-4, 0, 4, 0}, {0, -4, 0, -1}, {-6, 0, 1, 0}}
+	for i, r := range reports {
+		_ = b.Handle(reportEnv(int32(i), 0, r))
+	}
+	if !b.RoundComplete() {
+		t.Fatal("round incomplete")
+	}
+	checkAccounts(t, b, []money.Penny{990, 1000, 1005, 1005})
+	checkAccounts(t, b, pairwiseAccounts(1000, reports))
+	checkTransfers(t, b, []Transfer{{From: 0, To: 2, Amount: 5}, {From: 0, To: 3, Amount: 5}})
+	st := b.Stats()
+	if st.SettledPennies != 10 || st.SettlementTransfers != 2 || st.SettlementShortfalls != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestSettlementConservesTotalMoney(t *testing.T) {
+	// Four ISPs holding only 50 pennies each against positions of up to
+	// ±199 per pair, so most rounds clamp some debtor: money is conserved
+	// and no account goes negative even then.
+	f := func(p01, p02, p03, p12, p13, p23 int16) bool {
+		x := [6]int64{int64(p01 % 200), int64(p02 % 200), int64(p03 % 200),
+			int64(p12 % 200), int64(p13 % 200), int64(p23 % 200)}
+		reports := [][]int64{
+			{0, x[0], x[1], x[2]},
+			{-x[0], 0, x[3], x[4]},
+			{-x[1], -x[3], 0, x[5]},
+			{-x[2], -x[4], -x[5], 0},
+		}
+		bk, _ := newSettlingBank(t, 4, 50)
+		before := bk.TotalAccounts()
+		if err := bk.StartSnapshot(); err != nil {
+			return false
+		}
+		for i, r := range reports {
+			_ = bk.Handle(reportEnv(int32(i), 0, r))
+		}
+		for i := range reports {
+			if a, _ := bk.Account(i); a < 0 {
+				return false
+			}
+		}
+		return bk.RoundComplete() && bk.TotalAccounts() == before && len(bk.Violations()) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSettlementSkipsFlaggedPairs(t *testing.T) {
+	b, _ := newSettlingBank(t, 3, 1000)
+	_ = b.StartSnapshot()
+	// isp1 understates pair (0,1): it claims -3 where isp0 claims +10.
+	// Pairs (0,2) and (1,2) agree and still settle: isp0 pays isp2 5,
+	// isp1 pays isp2 2, and the disputed 10 stays put.
+	_ = b.Handle(reportEnv(0, 0, []int64{0, 10, 5}))
+	_ = b.Handle(reportEnv(1, 0, []int64{-3, 0, 2}))
+	_ = b.Handle(reportEnv(2, 0, []int64{-5, -2, 0}))
+	if v := b.Violations(); len(v) != 1 {
+		t.Fatalf("violations = %v, want the one pair (0,1)", v)
+	}
+	checkAccounts(t, b, []money.Penny{995, 998, 1007})
+	checkTransfers(t, b, []Transfer{{From: 0, To: 2, Amount: 5}, {From: 1, To: 2, Amount: 2}})
+}
+
+func TestSettlementShortfall(t *testing.T) {
+	b, _ := newSettlingBank(t, 4, 5)
+	_ = b.StartSnapshot()
+	// isp0 owes isp1 4 and isp2 6 but holds 5, so its position clamps
+	// to 5: the sweep pays isp1 in full and isp2 the 1 left over. isp3
+	// owes isp2 3 and can cover it, so its payment is untouched.
+	_ = b.Handle(reportEnv(0, 0, []int64{0, 4, 6, 0}))
+	_ = b.Handle(reportEnv(1, 0, []int64{-4, 0, 0, 0}))
+	_ = b.Handle(reportEnv(2, 0, []int64{-6, 0, 0, -3}))
+	_ = b.Handle(reportEnv(3, 0, []int64{0, 0, 3, 0}))
+	checkAccounts(t, b, []money.Penny{0, 9, 9, 2})
+	checkTransfers(t, b, []Transfer{
+		{From: 0, To: 1, Amount: 4}, {From: 0, To: 2, Amount: 1}, {From: 3, To: 2, Amount: 3},
+	})
+	if got := b.Stats().SettlementShortfalls; got != 1 {
+		t.Fatalf("shortfalls = %d, want 1 (isp0 only)", got)
+	}
+	if b.TotalAccounts() != 20 {
+		t.Fatalf("total = %v, want 20", b.TotalAccounts())
+	}
+}
+
 func TestSettlementRate(t *testing.T) {
 	ft := newFake()
 	b, err := New(Config{
