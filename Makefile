@@ -29,7 +29,7 @@ race:
 # Ledger and control-plane benchmarks, serial vs parallel.
 bench:
 	$(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive' -benchmem .
-	$(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/
+	$(GO) test -run xxx -bench 'BuyHandling' -benchmem ./internal/bank/
 
 # Record the hot-path, batching, and checkpoint/replay benchmarks plus
 # a real-TCP zload run as BENCH_10.json (ns/op, B/op, allocs/op, the
@@ -41,7 +41,7 @@ bench-record:
 		-remote-frac 0.5 -list-frac 0.1 -list-size 4 -seed 1 \
 		-json /tmp/zload_report.json
 	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive' -benchmem . && \
-	  $(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
+	  $(GO) test -run xxx -bench 'BuyHandling' -benchmem ./internal/bank/ && \
 	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ; } \
 		| $(GO) run ./cmd/benchjson -cluster /tmp/zload_report.json -out BENCH_10.json
 	cat BENCH_10.json
@@ -56,7 +56,7 @@ bench-record:
 BENCH_PREV    = BENCH_7.json
 BENCH_CURR    = BENCH_10.json
 BENCH_HOT     = ISPSubmitLocal,ISPSubmitPaidRemote,ISPReceiveRemote,EngineSend,EngineSendParallel
-BENCH_NEW_HOT = EngineSubmitAsync,BankBatchOrder
+BENCH_NEW_HOT = EngineSubmitAsync
 bench-compare:
 	$(GO) run ./cmd/benchjson -old $(BENCH_PREV) -new $(BENCH_CURR) \
 		-hot $(BENCH_HOT) -new-hot $(BENCH_NEW_HOT) \

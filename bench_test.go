@@ -196,7 +196,7 @@ func BenchmarkEngineSubmitAsync(b *testing.B) {
 		for i := 0; i < n; i++ {
 			k := (done + i) % users
 			msg := zmail.NewMessage(from[k], to[k], "bench", "body")
-			if _, err := eng.Submit(msg); err != nil {
+			if err := eng.Submit(msg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -179,9 +179,8 @@ func boot(args []string) (*daemon, error) {
 		admin     = fs.String("admin", "", "operator console listen address (loopback only!), e.g. 127.0.0.1:7025")
 		metricsAd = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7070")
 		walDir    = fs.String("wal", "", "write-ahead-log directory; every mutation is logged and boot replays the log")
-		batchOrd  = fs.Bool("batch-orders", false, "coalesce bank buy/sell into one batch order per tick")
-		queueDep  = fs.Int("queue-depth", 0, "admission queue depth; >0 decouples SMTP accept latency from ledger commit")
-		queueWrk  = fs.Int("queue-workers", 0, "admission queue drain workers (0 = default, with -queue-depth)")
+		queueDep  = fs.Int("queue-depth", 0, "admission queue depth; a full queue answers 451 (0 = default 1024)")
+		queueWrk  = fs.Int("queue-workers", 0, "admission queue drain workers (0 = default 2)")
 	)
 	fs.Var(&users, "user", "local:accountPennies:balanceEPennies:dailyLimit; repeatable")
 	fs.Var(&peers, "peer", "index=host:port of a peer ISP; repeatable")
@@ -319,7 +318,6 @@ func boot(args []string) (*daemon, error) {
 			OwnSealer:      ownSealer,
 			Clock:          clk,
 			Tracer:         tracer,
-			BatchOrders:    *batchOrd,
 		},
 		ListenAddr:   *listen,
 		BankAddr:     *bankAddr,
@@ -327,7 +325,6 @@ func boot(args []string) (*daemon, error) {
 		AdminAddr:    *admin,
 		Mailbox:      mailbox,
 		Logf:         d.logf,
-		Queue:        *queueDep > 0,
 		QueueDepth:   *queueDep,
 		QueueWorkers: *queueWrk,
 	})
@@ -336,12 +333,6 @@ func boot(args []string) (*daemon, error) {
 	}
 	d.node = node
 	d.reg.Register(node.Engine())
-	if *queueDep > 0 {
-		d.logf("admission queue enabled (depth %d, workers %d)", *queueDep, *queueWrk)
-	}
-	if *batchOrd {
-		d.logf("coalesced bank orders enabled")
-	}
 
 	if *walDir != "" {
 		eng := node.Engine()

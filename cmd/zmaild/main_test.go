@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"zmail/internal/mail"
+	"zmail/internal/smtp"
 )
 
 func TestZmaildFlagValidation(t *testing.T) {
@@ -92,9 +95,9 @@ func TestZmaildMetricsBootFailure(t *testing.T) {
 	}
 }
 
-// TestObsvSmoke boots a full daemon on ephemeral ports, scrapes the
-// admin telemetry listener, and sanity-parses the exposition. This is
-// the `make obsv` smoke target.
+// TestObsvSmoke boots a full daemon on ephemeral ports, submits one
+// message over SMTP, scrapes the admin telemetry listener, and
+// sanity-parses the exposition. This is the `make obsv` smoke target.
 func TestObsvSmoke(t *testing.T) {
 	d, err := boot([]string{
 		"-index", "0", "-domains", "one.example", "-insecure",
@@ -108,6 +111,12 @@ func TestObsvSmoke(t *testing.T) {
 	if d.admin == nil {
 		t.Fatal("boot with -metrics left admin listener nil")
 	}
+	alice := mail.Address{Local: "alice", Domain: "one.example"}
+	msg := mail.NewMessage(alice, alice, "obsv", "smoke")
+	if err := smtp.SendMail(d.node.Addr().String(), "client.test", alice, []mail.Address{alice}, msg, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	d.node.Engine().FlushQueue()
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + d.admin.Addr().String() + "/metrics")
@@ -147,6 +156,15 @@ func TestObsvSmoke(t *testing.T) {
 		`zmail_isp_pool_avail{isp="one.example"}`,
 		`zmail_isp_submitted_total{isp="one.example"}`,
 		`zmail_isp_submit_seconds_count{isp="one.example"}`,
+		// The admission stage, seen by the one submission above.
+		`zmail_isp_admit_seconds_count{isp="one.example"} 1`,
+		`zmail_isp_queue_depth{isp="one.example"} 0`,
+		`zmail_isp_queue_rejected_total{isp="one.example"} 0`,
+		`zmail_isp_queue_dropped_total{isp="one.example"} 0`,
+		`zmail_mempool_enqueued_total{isp="one.example"} 1`,
+		`zmail_mempool_rejected_total{isp="one.example"} 0`,
+		`zmail_mempool_committed_total{isp="one.example"} 1`,
+		`zmail_mempool_batches_total{isp="one.example"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %s:\n%s", want, body)

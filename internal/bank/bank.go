@@ -83,18 +83,16 @@ type Stats struct {
 	BuysAccepted int64
 	BuysDenied   int64
 	Sells        int64
-	// Batch-order counters: one BatchOrders tick per coalesced
-	// buy+sell processed; BatchPartialFills counts orders whose buy
-	// side was only partly covered by the ISP's account.
-	BatchOrders       int64
-	BatchPartialFills int64
-	Minted            int64
-	Burned            int64
-	Replays           int64
-	Rounds            int64
-	RoundsAborted     int64
-	ControlMsgs       int64 // total control messages processed (E5 metric)
-	ViolationsAll     int64
+	// Deprecated: always zero; the coalesced buy+sell order it
+	// counted is retired. Kept so existing readers still compile.
+	BatchOrders   int64
+	Minted        int64
+	Burned        int64
+	Replays       int64
+	Rounds        int64
+	RoundsAborted int64
+	ControlMsgs   int64 // total control messages processed (E5 metric)
+	ViolationsAll int64
 
 	// Settlement counters (see settlement.go).
 	SettledPennies       int64
@@ -346,57 +344,6 @@ func (b *Bank) handleLocked(env *wire.Envelope) error {
 		b.cfg.Tracer.Record(tid, "burn", -m.Value, "accepted")
 		reply, err := b.sealTo(g, wire.KindSellReply,
 			(&wire.SellReply{Nonce: m.Nonce}).MarshalBinary())
-		if err != nil {
-			return err
-		}
-		reply.Trace = env.Trace
-		b.emitq = append(b.emitq, func() { b.cfg.Transport.SendISP(g, reply) })
-		return nil
-
-	case wire.KindBatchOrder:
-		var m wire.BatchOrder
-		if err := m.UnmarshalBinary(plain); err != nil {
-			return err
-		}
-		if b.seenNonces[m.Nonce] {
-			b.stats.Replays++
-			return ErrReplay
-		}
-		b.seenNonces[m.Nonce] = true
-		if m.Buy < 0 || m.Sell < 0 || (m.Buy == 0 && m.Sell == 0) {
-			// Durable replay protection even for a malformed order.
-			b.walNonce(m.Nonce)
-			return errors.New("bank: batch order with no positive side")
-		}
-		// Buy side fills up to the ISP's account — a partial fill, not
-		// the Buy message's all-or-nothing denial, so a thin account
-		// still restocks what it can afford in the same round trip.
-		fill := m.Buy
-		if avail := int64(b.account[g]); fill > avail {
-			fill = avail
-		}
-		if fill > 0 {
-			b.account[g] -= money.Penny(fill)
-			b.stats.Minted += fill
-			b.stats.BuysAccepted++
-			if fill < m.Buy {
-				b.stats.BatchPartialFills++
-			}
-			b.cfg.Tracer.Record(tid, "mint", fill, "accepted")
-		} else if m.Buy > 0 {
-			b.stats.BuysDenied++
-			b.cfg.Tracer.Record(tid, "mint", 0, "denied")
-		}
-		if m.Sell > 0 {
-			b.account[g] += money.Penny(m.Sell)
-			b.stats.Burned += m.Sell
-			b.stats.Sells++
-			b.cfg.Tracer.Record(tid, "burn", -m.Sell, "accepted")
-		}
-		b.stats.BatchOrders++
-		b.walBatch(m.Nonce, g, fill, m.Sell)
-		reply, err := b.sealTo(g, wire.KindBatchReply,
-			(&wire.BatchReply{Nonce: m.Nonce, BuyFilled: fill, SellBurned: m.Sell}).MarshalBinary())
 		if err != nil {
 			return err
 		}

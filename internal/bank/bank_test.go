@@ -2,10 +2,12 @@ package bank
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"zmail/internal/crypto"
 	"zmail/internal/money"
+	"zmail/internal/persist"
 	"zmail/internal/wire"
 )
 
@@ -51,11 +53,6 @@ func buyEnv(from int32, value int64, nonce uint64) *wire.Envelope {
 func sellEnv(from int32, value int64, nonce uint64) *wire.Envelope {
 	return &wire.Envelope{Kind: wire.KindSell, From: from,
 		Payload: (&wire.Sell{Value: value, Nonce: nonce}).MarshalBinary()}
-}
-
-func batchEnv(from int32, buy, sell int64, nonce uint64) *wire.Envelope {
-	return &wire.Envelope{Kind: wire.KindBatchOrder, From: from,
-		Payload: (&wire.BatchOrder{Buy: buy, Sell: sell, Nonce: nonce}).MarshalBinary()}
 }
 
 func reportEnv(from int32, seq uint64, credits []int64) *wire.Envelope {
@@ -159,119 +156,134 @@ func TestSellCredited(t *testing.T) {
 	}
 }
 
+// The bank no longer takes the coalesced buy+sell order (wire kinds 8
+// and 9), but a log written while it did still holds its records
+// (bankRecBatch). The TestBatchOrder* tests pin how recovery folds
+// them; appendBatchRecord and replayLog are in wal_test.go.
+
 func TestBatchOrderMintAndBurn(t *testing.T) {
-	b, ft := newBank(t, 1, nil)
-	if err := b.Handle(batchEnv(0, 300, 100, 5)); err != nil {
-		t.Fatal(err)
-	}
-	acct, _ := b.Account(0)
-	if acct != 1000-300+100 {
-		t.Fatalf("account = %v, want 800", acct)
+	// Each record's mint and burn land on the account of the ISP it
+	// names.
+	b := replayLog(t, func(b *Bank) {
+		appendBatchRecord(t, b, 5, 0, 300, 100)
+		appendBatchRecord(t, b, 6, 1, 0, 60)
+	})
+	a0, _ := b.Account(0)
+	a1, _ := b.Account(1)
+	if a0 != 1000-300+100 || a1 != 1000+60 {
+		t.Fatalf("accounts = %v, %v; want 800, 1060", a0, a1)
 	}
 	st := b.Stats()
-	if st.Minted != 300 || st.Burned != 100 || st.BatchOrders != 1 ||
-		st.BuysAccepted != 1 || st.Sells != 1 || st.BatchPartialFills != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	replies := ft.out[0]
-	if len(replies) != 1 || replies[0].Kind != wire.KindBatchReply {
-		t.Fatalf("replies = %+v", replies)
-	}
-	var br wire.BatchReply
-	if err := br.UnmarshalBinary(replies[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	if br.Nonce != 5 || br.BuyFilled != 300 || br.SellBurned != 100 {
-		t.Fatalf("reply = %+v", br)
+	if st.Minted != 300 || st.Burned != 160 || b.Outstanding() != 140 {
+		t.Fatalf("stats = %+v, outstanding %d", st, b.Outstanding())
 	}
 }
 
 func TestBatchOrderPartialFill(t *testing.T) {
-	b, ft := newBank(t, 1, nil)
-	// The buy side exceeds the account: a Buy message would be denied
-	// outright, a batch order fills what the account covers.
-	if err := b.Handle(batchEnv(0, 5000, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
+	// The record holds what the bank granted, not what was asked: a
+	// 5000 buy against a 1000 account was logged as a fill of 1000,
+	// and an order on the emptied account as a zero fill that still
+	// burned its sell side.
+	b := replayLog(t, func(b *Bank) {
+		appendBatchRecord(t, b, 1, 0, 1000, 0)
+		appendBatchRecord(t, b, 2, 0, 0, 25)
+	})
 	acct, _ := b.Account(0)
-	if acct != 0 {
-		t.Fatalf("account = %v, want 0", acct)
+	if acct != 25 {
+		t.Fatalf("account = %v, want 25", acct)
 	}
-	st := b.Stats()
-	if st.Minted != 1000 || st.BatchPartialFills != 1 || st.BuysAccepted != 1 {
+	if st := b.Stats(); st.Minted != 1000 || st.Burned != 25 {
 		t.Fatalf("stats = %+v", st)
-	}
-	var br wire.BatchReply
-	_ = br.UnmarshalBinary(ft.out[0][0].Payload)
-	if br.BuyFilled != 1000 || br.SellBurned != 0 {
-		t.Fatalf("reply = %+v", br)
-	}
-	// Account now empty: a further buy-only order fills zero (denied),
-	// but a sell side still burns.
-	if err := b.Handle(batchEnv(0, 10, 25, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st = b.Stats()
-	if st.BuysDenied != 1 || st.Burned != 25 {
-		t.Fatalf("after empty-account order: %+v", st)
 	}
 }
 
 func TestBatchOrderReplay(t *testing.T) {
-	b, ft := newBank(t, 1, nil)
-	env := batchEnv(0, 100, 50, 9)
-	if err := b.Handle(env); err != nil {
+	// A logged order's nonce outlives its record: after a recovery and
+	// a compaction that drops the record from the log, the nonce is in
+	// the snapshot, so a second recovery still refuses it.
+	dir := filepath.Join(t.TempDir(), "wal")
+	b, _ := newBank(t, 2, nil)
+	if err := b.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Handle(batchEnv(0, 100, 50, 9)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("replayed batch: %v", err)
+	appendBatchRecord(t, b, 9, 0, 100, 50)
+	for i := 0; i < 2; i++ { // close, recover, compact the log; again
+		if err := b.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		b = recoverBank(t, dir)
+		if err := b.CompactWAL(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	acct, _ := b.Account(0)
-	if acct != 1000-100+50 {
-		t.Fatal("replay applied twice")
-	}
-	if len(ft.out[0]) != 1 {
-		t.Fatal("replay generated a reply")
-	}
-	// Nonces are global across message types: a plain buy reusing a
-	// batch nonce is a replay too.
+	defer func() { _ = b.CloseWAL() }()
 	if err := b.Handle(buyEnv(0, 10, 9)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("cross-type nonce reuse: %v", err)
+		t.Fatalf("buy reusing a compacted order's nonce: %v", err)
+	}
+	if acct, _ := b.Account(0); acct != 1000-100+50 {
+		t.Fatalf("account = %v, want 950", acct)
 	}
 }
 
 func TestBatchOrderRejectsDegenerate(t *testing.T) {
+	// A live envelope of a retired kind is refused before it touches
+	// any state: no reply, no nonce retired.
 	b, ft := newBank(t, 1, nil)
-	if err := b.Handle(batchEnv(0, 0, 0, 1)); err == nil {
-		t.Fatal("empty order accepted")
+	for _, k := range []wire.Kind{8, 9} {
+		env := &wire.Envelope{Kind: k, From: 0, Payload: (&wire.Buy{Value: 10, Nonce: 1}).MarshalBinary()}
+		if err := b.Handle(env); err == nil {
+			t.Fatalf("retired kind %d accepted", uint8(k))
+		}
 	}
-	if err := b.Handle(batchEnv(0, -5, 10, 2)); err == nil {
-		t.Fatal("negative buy accepted")
+	if acct, _ := b.Account(0); acct != 1000 || len(ft.out[0]) != 0 {
+		t.Fatalf("retired kind changed state: account %v, replies %d", acct, len(ft.out[0]))
 	}
-	if err := b.Handle(batchEnv(0, 10, -5, 3)); err == nil {
-		t.Fatal("negative sell accepted")
+	if err := b.Handle(buyEnv(0, 10, 1)); err != nil {
+		t.Fatalf("nonce retired by a refused envelope: %v", err)
 	}
-	acct, _ := b.Account(0)
-	if acct != 1000 || b.Stats().BatchOrders != 0 {
-		t.Fatal("degenerate order changed state")
-	}
-	if len(ft.out[0]) != 0 {
-		t.Fatal("degenerate order got a reply")
-	}
-	// The rejection still retired the nonce.
-	if err := b.Handle(batchEnv(0, 10, 10, 1)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("nonce of rejected order reusable: %v", err)
+	// A malformed record of the retired kind fails recovery instead of
+	// folding a half-read order or touching an account that does not
+	// exist.
+	var badISP persist.RecordEnc
+	badISP.U8(bankRecBatch)
+	badISP.U64(1)
+	badISP.U32(7)
+	badISP.I64(10)
+	badISP.I64(0)
+	for name, rec := range map[string][]byte{
+		"truncated":   {bankRecBatch, 1, 2, 3},
+		"unknown ISP": badISP.B,
+	} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		b1, _ := newBank(t, 2, nil)
+		if err := b1.AttachWAL(dir); err != nil {
+			t.Fatal(err)
+		}
+		appendRecord(t, b1, rec)
+		if err := b1.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		b2, _ := newBank(t, 2, nil)
+		if err := b2.RecoverWAL(dir); err == nil {
+			t.Fatalf("%s order record recovered", name)
+		}
 	}
 }
 
 func TestBatchOrderConservation(t *testing.T) {
-	b, _ := newBank(t, 2, nil)
+	// A log mixing live per-side trades with logged orders replays to
+	// the same money: accounts plus outstanding e-pennies.
 	initial := money.Penny(2 * 1000)
-	nonce := uint64(0)
-	next := func() uint64 { nonce++; return nonce }
-	for i := 0; i < 50; i++ {
-		_ = b.Handle(batchEnv(int32(i%2), int64(10+i), int64(5+i), next()))
-	}
+	b := replayLog(t, func(b *Bank) {
+		nonce := uint64(0)
+		next := func() uint64 { nonce++; return nonce }
+		for i := 0; i < 50; i++ {
+			g := i % 2
+			appendBatchRecord(t, b, next(), g, int64(10+i), int64(5+i))
+			_ = b.Handle(buyEnv(int32(g), int64(3+i), next()))
+			_ = b.Handle(sellEnv(int32(g), int64(1+i), next()))
+		}
+	})
 	var accounts money.Penny
 	for i := 0; i < 2; i++ {
 		a, _ := b.Account(i)

@@ -142,26 +142,6 @@ func BenchmarkBuyHandling(b *testing.B) {
 	}
 }
 
-// BenchmarkBankBatchOrder is BenchmarkBuyHandling's coalesced twin:
-// one sealed BatchOrder carrying both a buy and a sell side, settled
-// in one handle (one nonce, one WAL record, one reply) where the
-// legacy path would pay two full round trips.
-func BenchmarkBankBatchOrder(b *testing.B) {
-	ft := newFake()
-	bk, err := New(Config{NumISPs: 1, InitialAccount: 1 << 60, Transport: ft, OwnSealer: crypto.Null{}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = bk.Enroll(0, crypto.Null{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Equal sides keep the account flat over any b.N.
-		if err := bk.Handle(batchEnv(0, 10, 10, uint64(i)+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // sinkTransport discards replies; unlike the recording fake it is safe
 // for concurrent SendISP calls.
 type sinkTransport struct{}

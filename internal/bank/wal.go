@@ -24,7 +24,7 @@ const (
 	bankRecRound                   // audit round verified: seq advance + violations
 	bankRecSeq                     // audit round aborted: seq advance
 	bankRecSettle                  // verified round's real-money settlement transfers
-	bankRecBatch                   // nonce retired + coalesced mint/burn (batch order)
+	bankRecBatch                   // nonce retired + mint/burn of a retired coalesced order; replay only
 )
 
 // bankWALSegments: all bank mutations serialize under b.mu.
@@ -72,22 +72,6 @@ func (b *Bank) walSell(nonce uint64, isp int, value int64) {
 	enc.U64(nonce)
 	enc.U32(uint32(isp))
 	enc.I64(value)
-	b.walAppend(enc.B)
-}
-
-// walBatch logs a coalesced batch order: the nonce is retired, fill
-// pennies left the account as a mint and sell pennies returned as a
-// burn (either side may be zero). Call with mu held.
-func (b *Bank) walBatch(nonce uint64, isp int, fill, sell int64) {
-	if b.wal == nil {
-		return
-	}
-	var enc persist.RecordEnc
-	enc.U8(bankRecBatch)
-	enc.U64(nonce)
-	enc.U32(uint32(isp))
-	enc.I64(fill)
-	enc.I64(sell)
 	b.walAppend(enc.B)
 }
 
@@ -252,6 +236,8 @@ func (r *bankReplay) apply(payload []byte) error {
 		r.st.Accounts[g] = r.st.Accounts[g] + value
 		r.st.Burned += value
 	case bankRecBatch:
+		// Nothing writes this record any more, but a log from before
+		// the coalesced order was retired may still hold it.
 		nonce := d.U64()
 		isp := int(d.U32())
 		fill := d.I64()

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"zmail/internal/persist"
+	"zmail/internal/wire"
 )
 
 // bankJSON is the equivalence oracle: sorted, versioned snapshots of
@@ -39,15 +42,6 @@ func driveBankWorkload(t *testing.T, b *Bank) {
 	}
 	if err := b.Deposit(1, 25); err != nil {
 		t.Fatal(err)
-	}
-	if err := b.Handle(batchEnv(0, 100, 40, 5)); err != nil { // coalesced mint+burn
-		t.Fatal(err)
-	}
-	if err := b.Handle(batchEnv(1, 5000, 0, 6)); err != nil { // partial fill
-		t.Fatal(err)
-	}
-	if err := b.Handle(batchEnv(0, 0, 0, 7)); err == nil { // rejected, nonce retired
-		t.Fatal("empty batch order accepted")
 	}
 	// Round 1 verifies with a violation: isp0 claims +3 against isp1,
 	// isp1 claims only -2 back.
@@ -83,6 +77,76 @@ func recoverBank(t *testing.T, dir string) *Bank {
 		t.Fatal(err)
 	}
 	return b2
+}
+
+// appendRecord writes payload to b's log as one raw record.
+func appendRecord(t *testing.T, b *Bank, payload []byte) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.wal.Append(0, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendBatchRecord writes a record of the retired coalesced order in
+// the layout the bank used to log it: the nonce, the ISP, the filled
+// buy and the burned sell.
+func appendBatchRecord(t *testing.T, b *Bank, nonce uint64, isp int, fill, sell int64) {
+	t.Helper()
+	var enc persist.RecordEnc
+	enc.U8(bankRecBatch)
+	enc.U64(nonce)
+	enc.U32(uint32(isp))
+	enc.I64(fill)
+	enc.I64(sell)
+	appendRecord(t, b, enc.B)
+}
+
+// replayLog gives a fresh two-ISP bank a log, lets write fill it
+// (live trades or raw records), closes it, and returns the bank
+// recovered from it.
+func replayLog(t *testing.T, write func(b *Bank)) *Bank {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "wal")
+	b1, _ := newBank(t, 2, nil)
+	if err := b1.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	write(b1)
+	if err := b1.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	b2 := recoverBank(t, dir)
+	t.Cleanup(func() { _ = b2.CloseWAL() })
+	return b2
+}
+
+// TestWALBankBatchRecordReplay: a log written before the coalesced
+// order was retired still recovers. Its record lands between live
+// per-side trades, and replay applies the order's mint and burn to the
+// account and the counters and keeps its nonce retired.
+func TestWALBankBatchRecordReplay(t *testing.T) {
+	b := replayLog(t, func(b *Bank) {
+		if err := b.Handle(buyEnv(0, 200, 1)); err != nil {
+			t.Fatal(err)
+		}
+		appendBatchRecord(t, b, 2, 0, 300, 40)
+		if err := b.Handle(sellEnv(0, 50, 3)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if acct, _ := b.Account(0); acct != 1000-200-300+40+50 {
+		t.Fatalf("account = %v, want 590", acct)
+	}
+	if st := b.Stats(); st.Minted != 500 || st.Burned != 90 {
+		t.Fatalf("Minted/Burned = %d/%d, want 500/90", st.Minted, st.Burned)
+	}
+	for _, env := range []*wire.Envelope{buyEnv(0, 10, 2), sellEnv(0, 10, 2)} {
+		if err := b.Handle(env); !errors.Is(err, ErrReplay) {
+			t.Fatalf("%v reusing the order's nonce: %v", env.Kind, err)
+		}
+	}
 }
 
 // TestWALBankRoundTrip: every mutation class survives close + replay

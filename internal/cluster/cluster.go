@@ -74,13 +74,12 @@ type Config struct {
 	// TickInterval is the pool-maintenance cadence (default 50ms).
 	TickInterval time.Duration
 
-	// BatchOrders has every ISP coalesce its bank buy/sell traffic into
-	// sealed wire.BatchOrder round trips (partial-fill replies).
+	// Deprecated: ignored; every ISP trades with the bank through the
+	// paper's per-side buy and sell exchanges.
 	BatchOrders bool
-	// Queue starts each ISP's admission queue so SMTP DATA returns at
-	// admission; QueueDepth/QueueWorkers tune it (zero = defaults).
-	Queue                    bool
-	QueueDepth, QueueWorkers int
+	// Deprecated: ignored; every ISP runs its admission queue (default
+	// size), so SMTP DATA returns at admission.
+	Queue bool
 	// GroupSettle makes every (leaf) bank settle each verified audit
 	// round.
 	GroupSettle bool
@@ -461,14 +460,10 @@ func (c *Cluster) startISP(d *ISP) error {
 			OwnSealer:      crypto.Null{},
 			Clock:          clk,
 			Tracer:         tracer,
-			BatchOrders:    cfg.BatchOrders,
 		},
 		ListenAddr:   "127.0.0.1:0",
 		BankAddr:     c.banks[c.assign[d.Index]].Addr(),
 		TickInterval: cfg.TickInterval,
-		Queue:        cfg.Queue,
-		QueueDepth:   cfg.QueueDepth,
-		QueueWorkers: cfg.QueueWorkers,
 		Mailbox: func(user string, msg *mail.Message) {
 			d.delivered.Add(1)
 		},

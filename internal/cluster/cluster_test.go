@@ -184,21 +184,19 @@ func TestClusterCatchesCheaterLive(t *testing.T) {
 	check("root", c.Root().Violations(), [2]int{0, 1}, [2]int{1, 2})
 }
 
-// TestClusterBatchedFederation boots the batch-first federation: every
-// ISP runs the admission queue (SMTP DATA returns at admission) and
-// coalesced bank orders, and the bank settles verified rounds with
-// multilateral netting. Paid mail flows, pools restock through
-// BatchOrder round trips, audits verify, settlement moves real money,
-// and conservation holds throughout.
-func TestClusterBatchedFederation(t *testing.T) {
+// TestClusterDefaultFederation boots the federation as every node
+// runs: each ISP admits SMTP submissions through its queue (DATA
+// returns at admission) and restocks its pool with the paper's
+// per-side buys, and the bank settles verified rounds with
+// multilateral netting. Paid mail flows, pools restock, audits verify,
+// settlement moves real money, and conservation holds throughout.
+func TestClusterDefaultFederation(t *testing.T) {
 	c := newTestCluster(t, Config{
 		ISPs: 2, Regions: 1,
-		BatchOrders: true,
-		Queue:       true, QueueDepth: 64, QueueWorkers: 2,
 		GroupSettle: true,
 		// Registration funds user balances from the pool (4 × 200), so a
 		// 1500-e-penny pool lands at 700 — below the default MinAvail of
-		// 1000 — and the very first tick issues a batch restock order.
+		// 1000 — and the very first tick issues a restock buy.
 		InitialAvail: 1500,
 	})
 
@@ -220,12 +218,12 @@ func TestClusterBatchedFederation(t *testing.T) {
 			t.Fatalf("isp[%d] queue stats = %+v, want ≥%d enqueued+committed", i, qs, perDirection)
 		}
 	}
-	// Pool maintenance went over the batch path: both ISPs boot below
-	// MinAvail, so the bank must see coalesced BatchOrder envelopes.
-	waitOr(t, "batch restock traffic", func() bool {
-		return c.Banks()[0].Bank.Stats().BatchOrders >= 2
+	// Both ISPs boot below MinAvail, so the bank must accept a restock
+	// buy from each.
+	waitOr(t, "restock buys", func() bool {
+		return c.Banks()[0].Bank.Stats().BuysAccepted >= 2
 	})
-	waitOr(t, "conservation with batch restocks", c.Conserved)
+	waitOr(t, "conservation with restocks", c.Conserved)
 
 	// An audit round settles the period's net flow with group netting.
 	if err := c.TriggerAudit(); err != nil {

@@ -53,13 +53,12 @@ type NodeConfig struct {
 	AckSink func(user string, msg *mail.Message)
 	// TickInterval is the pool-maintenance cadence; zero selects 5s.
 	TickInterval time.Duration
-	// Queue starts the engine's admission queue, decoupling SMTP DATA
-	// latency from ledger commit: submissions are admitted (policy
-	// checks, reservation) inline and committed by drain workers.
-	Queue bool
-	// QueueDepth/QueueWorkers/QueueBatch tune the admission queue when
-	// Queue is set; zero values select the mempool defaults.
-	QueueDepth, QueueWorkers, QueueBatch int
+	// QueueDepth/QueueWorkers size the engine's admission queue, which
+	// every node runs: submissions are admitted (policy checks,
+	// reservation) inline and committed by drain workers, so SMTP DATA
+	// latency is decoupled from the ledger commit. Zero values select
+	// the mempool defaults (depth 1024, 2 workers).
+	QueueDepth, QueueWorkers int
 	// Logf logs diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -112,13 +111,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.engine = eng
-	if cfg.Queue {
-		eng.StartQueue(isp.QueueConfig{
-			Depth:   cfg.QueueDepth,
-			Workers: cfg.QueueWorkers,
-			Batch:   cfg.QueueBatch,
-		})
-	}
 
 	n.server = &smtp.Server{
 		Domain:  eng.Domain(),
@@ -129,6 +121,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: listen %s: %w", cfg.ListenAddr, err)
 	}
 	n.addr = l.Addr()
+	// Started after the last bare error return, so a failed listen
+	// leaves no drain workers behind; Close stops it.
+	eng.StartQueue(isp.QueueConfig{Depth: cfg.QueueDepth, Workers: cfg.QueueWorkers})
 
 	n.wg.Add(2)
 	go func() {
@@ -186,8 +181,9 @@ func (n *Node) LoadState(path string) error { return n.engine.LoadState(path) }
 func (n *Node) Addr() net.Addr { return n.addr }
 
 // Close stops the SMTP server, the tick loop, and the bank link. The
-// admission queue (if configured) drains first, while the outbound
-// transports are still up, so accepted mail is not dropped on shutdown.
+// admission queue drains first, while the outbound transports are
+// still up, so accepted mail is not dropped on shutdown; submissions
+// that arrive after it stopped are answered 451 (ErrQueueFull).
 func (n *Node) Close() error {
 	n.engine.StopQueue()
 	n.mu.Lock()
@@ -416,7 +412,7 @@ func (s *nodeSession) Data(to mail.Address, msg *mail.Message) error {
 		// Local submission. Admission backpressure is temporary by
 		// definition — the queue drains — so it surfaces as a 451 the
 		// client retries, not a 550 rejection.
-		if _, err := s.node.engine.Submit(msg); err != nil {
+		if err := s.node.engine.Submit(msg); err != nil {
 			if errors.Is(err, isp.ErrQueueFull) {
 				return smtp.Transient{Err: err}
 			}

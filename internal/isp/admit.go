@@ -13,7 +13,7 @@ import (
 // and hands admitted messages to a bounded mempool queue, so an SMTP
 // DATA response costs one stripe lock and an enqueue instead of a full
 // ledger commit. Drain workers (internal/mempool) call commitQueued,
-// which routes each message through the legacy synchronous path.
+// which routes each message through the synchronous SubmitSync.
 //
 // The queue is volatile by design: admitted-but-uncommitted messages
 // have charged nobody (the e-penny debit happens at commit), so a
@@ -22,34 +22,9 @@ import (
 // daily limit at admission so a queued burst cannot overshoot the cap.
 
 // ErrQueueFull reports admission backpressure: the bounded queue is at
-// depth (or stopped) and the caller should retry later or fail the
-// SMTP transaction with a transient error.
+// depth, stopped, or not attached, and the caller should retry later or
+// fail the SMTP transaction with a transient error.
 var ErrQueueFull = errors.New("isp: admission queue full")
-
-// Admission describes what Submit did with a message.
-type Admission int
-
-// Admission outcomes.
-const (
-	// AdmitQueued: the message passed admission and waits in the queue;
-	// a drain worker will commit it.
-	AdmitQueued Admission = iota + 1
-	// AdmitCommitted: no queue is attached, so the message was committed
-	// synchronously before Submit returned.
-	AdmitCommitted
-)
-
-// String names the outcome.
-func (a Admission) String() string {
-	switch a {
-	case AdmitQueued:
-		return "queued"
-	case AdmitCommitted:
-		return "committed"
-	default:
-		return fmt.Sprintf("Admission(%d)", int(a))
-	}
-}
 
 // QueueConfig sizes the admission queue; zero fields select the
 // mempool defaults (depth 1024, 2 workers, batches of 32).
@@ -116,35 +91,31 @@ func (e *Engine) QueueStats() mempool.Stats {
 }
 
 // Submit accepts a message from a local user (the SMTP submission
-// path), applies the admission policy, and — when a queue is attached
-// — returns as soon as the message is admitted, leaving the ledger
-// commit to the drain workers. The policy mirrors the paid-path
-// checks: the sender must exist and hold at least one e-penny, and a
-// non-ack message must fit under the daily limit counting messages
-// already queued (sent + pending < limit), with the first limit
-// rejection of the day triggering the §5 zombie warning. A full queue
-// surfaces as ErrQueueFull backpressure.
-//
-// Without an attached queue Submit degenerates to a synchronous commit
-// (AdmitCommitted), so callers need not care how the engine was
-// deployed.
+// path), applies the admission policy, and returns as soon as the
+// message is admitted, leaving the ledger commit to the queue's drain
+// workers. The policy mirrors the paid-path checks: the sender must
+// exist and hold at least one e-penny, and a non-ack message must fit
+// under the daily limit counting messages already queued (sent +
+// pending < limit), with the first limit rejection of the day
+// triggering the §5 zombie warning. A full queue surfaces as
+// ErrQueueFull backpressure, and so does a missing one (never started,
+// or detached by StopQueue during shutdown): Submit never commits
+// inline. SubmitSync is the synchronous path.
 //
 // Admission is deliberately advisory: the commit path re-checks
 // balance and limit authoritatively, so a race between admission and
 // commit can only reject at commit (counted in Stats.QueueDropped),
 // never over-charge.
-func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
+func (e *Engine) Submit(msg *mail.Message) error {
 	q := e.queue.Load()
 	if q == nil {
-		if _, err := e.SubmitSync(msg); err != nil {
-			return 0, err
-		}
-		return AdmitCommitted, nil
+		e.stats.queueRejected.Add(1)
+		return ErrQueueFull
 	}
 
 	start := e.cfg.Clock.Now()
 	if msg.From.Domain != e.cfg.Domain {
-		return 0, fmt.Errorf("isp: sender %v is not a %s user", msg.From, e.cfg.Domain)
+		return fmt.Errorf("isp: sender %v is not a %s user", msg.From, e.cfg.Domain)
 	}
 	isAck := msg.Class() == mail.ClassAck
 	var em emitQueue
@@ -153,12 +124,12 @@ func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
 	u, ok := s.users[msg.From.Local]
 	if !ok {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
+		return fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
 	}
 	if u.balance < 1 {
 		s.mu.Unlock()
 		e.stats.balanceRejects.Add(1)
-		return 0, ErrInsufficientBalance
+		return ErrInsufficientBalance
 	}
 	if !isAck && u.sent+u.pending >= u.limit {
 		e.stats.limitRejects.Add(1)
@@ -170,7 +141,7 @@ func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
 		}
 		s.mu.Unlock()
 		em.run()
-		return 0, ErrLimitExceeded
+		return ErrLimitExceeded
 	}
 	u.pending++
 	s.mu.Unlock()
@@ -182,10 +153,10 @@ func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
 		}
 		s.mu.Unlock()
 		e.stats.queueRejected.Add(1)
-		return 0, ErrQueueFull
+		return ErrQueueFull
 	}
 	e.lat.admit.Observe(e.cfg.Clock.Now().Sub(start))
-	return AdmitQueued, nil
+	return nil
 }
 
 // commitQueued commits one admitted message; it is the queue's drain

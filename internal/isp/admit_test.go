@@ -27,19 +27,31 @@ func remoteMsg(from string) *mail.Message {
 	return mail.NewMessage(addr(from+"@a.example"), addr("x@b.example"), "s", "b")
 }
 
+// TestSubmitWithoutQueueCommitsInline: with no queue attached only
+// the synchronous SubmitSync commits inline; Submit refuses with
+// ErrQueueFull and charges nobody, so a caller sees backpressure
+// instead of a silent change of path.
 func TestSubmitWithoutQueueCommitsInline(t *testing.T) {
 	e, ft, _ := newEngine(t, 0, nil, nil)
 	mustRegister(t, e, "alice", 0, 5)
 	mustRegister(t, e, "bob", 0, 5)
-	out, err := e.Submit(mail.NewMessage(addr("alice@a.example"), addr("bob@a.example"), "s", "b"))
-	if err != nil || out != AdmitCommitted {
-		t.Fatalf("Submit = %v, %v; want AdmitCommitted", out, err)
+	msg := func() *mail.Message {
+		return mail.NewMessage(addr("alice@a.example"), addr("bob@a.example"), "s", "b")
+	}
+	if err := e.Submit(msg()); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit without a queue = %v, want ErrQueueFull", err)
+	}
+	if info, _ := e.User("alice"); info.Balance != 5 || info.Sent != 0 || len(ft.local) != 0 {
+		t.Fatalf("refused Submit changed state: alice %+v, deliveries %v", info, ft.local)
+	}
+	if got := e.Stats().QueueRejected; got != 1 {
+		t.Fatalf("QueueRejected = %d, want 1", got)
+	}
+	if _, err := e.SubmitSync(msg()); err != nil {
+		t.Fatal(err)
 	}
 	if len(ft.local) != 1 || ft.local[0].user != "bob" {
 		t.Fatalf("local deliveries = %v", ft.local)
-	}
-	if got := out.String(); got != "committed" {
-		t.Fatalf("String() = %q", got)
 	}
 }
 
@@ -49,9 +61,8 @@ func TestSubmitAsyncCommitsThroughQueue(t *testing.T) {
 	e.StartQueue(QueueConfig{Depth: 16, Workers: 1, Batch: 4})
 	defer e.StopQueue()
 	for i := 0; i < 5; i++ {
-		out, err := e.Submit(remoteMsg("alice"))
-		if err != nil || out != AdmitQueued {
-			t.Fatalf("submit %d = %v, %v; want AdmitQueued", i, out, err)
+		if err := e.Submit(remoteMsg("alice")); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
 	e.FlushQueue()
@@ -80,17 +91,17 @@ func TestSubmitQueueFullBackpressure(t *testing.T) {
 
 	// Park the single worker inside parker's commit so the buffer state
 	// below is deterministic.
-	if _, err := e.Submit(remoteMsg("parker")); err != nil {
+	if err := e.Submit(remoteMsg("parker")); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// Worker parked, buffer empty: exactly Depth admissions fit.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit(remoteMsg("alice")); err != nil {
+		if err := e.Submit(remoteMsg("alice")); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if _, err := e.Submit(remoteMsg("alice")); !errors.Is(err, ErrQueueFull) {
+	if err := e.Submit(remoteMsg("alice")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull submit err = %v, want ErrQueueFull", err)
 	}
 	if got := e.Stats().QueueRejected; got != 1 {
@@ -124,18 +135,18 @@ func TestSubmitAdmissionEnforcesLimitWithPending(t *testing.T) {
 	e.StartQueue(QueueConfig{Depth: 16, Workers: 1, Batch: 1})
 	defer e.StopQueue()
 
-	if _, err := e.Submit(remoteMsg("parker")); err != nil {
+	if err := e.Submit(remoteMsg("parker")); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// With the worker parked, nothing commits: the limit must hold
 	// against queued reservations alone (sent stays 0, pending grows).
 	for i := 0; i < 3; i++ {
-		if _, err := e.Submit(remoteMsg("alice")); err != nil {
+		if err := e.Submit(remoteMsg("alice")); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if _, err := e.Submit(remoteMsg("alice")); !errors.Is(err, ErrLimitExceeded) {
+	if err := e.Submit(remoteMsg("alice")); !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("over-limit submit err = %v, want ErrLimitExceeded", err)
 	}
 	st := e.Stats()
@@ -160,13 +171,16 @@ func TestStartQueueIdempotentAndStopDetaches(t *testing.T) {
 	mustRegister(t, e, "alice", 0, 4)
 	e.StartQueue(QueueConfig{})
 	e.StartQueue(QueueConfig{}) // second attach is a no-op (and leaks no workers)
-	if out, err := e.Submit(remoteMsg("alice")); err != nil || out != AdmitQueued {
-		t.Fatalf("Submit = %v, %v", out, err)
+	if err := e.Submit(remoteMsg("alice")); err != nil {
+		t.Fatal(err)
 	}
 	e.StopQueue()
-	// Detached: Submit falls back to the synchronous path.
-	if out, err := e.Submit(remoteMsg("alice")); err != nil || out != AdmitCommitted {
-		t.Fatalf("post-stop Submit = %v, %v; want AdmitCommitted", out, err)
+	// Detached: Submit refuses, as a shutting-down node answers 451.
+	if err := e.Submit(remoteMsg("alice")); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("post-stop Submit = %v, want ErrQueueFull", err)
+	}
+	if info, _ := e.User("alice"); info.Sent != 1 {
+		t.Fatalf("alice sent = %d, want 1 (the drained message only)", info.Sent)
 	}
 	e.StopQueue() // idempotent
 }

@@ -29,9 +29,6 @@ func (e *Engine) Tick() error {
 }
 
 func (e *Engine) tick(em *emitQueue) error {
-	if e.cfg.BatchOrders {
-		return e.tickBatch(em)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
@@ -115,82 +112,6 @@ func (e *Engine) tick(em *emitQueue) error {
 	return nil
 }
 
-// tickBatch is the coalesced-order variant of tick (Config.BatchOrders):
-// both sides of the §4.3 pool maintenance travel in one sealed, nonced
-// wire.BatchOrder, so one bank round trip, one nonce, and one seal
-// amortize over the whole order instead of one exchange per side. The
-// bank answers with a partial-fill BatchReply (it grants as much of the
-// buy as the ISP's account covers).
-func (e *Engine) tickBatch(em *emitQueue) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	// Re-arm an order whose request or reply was lost. As with legacy
-	// sells, escrow is never refunded on re-arm — if the bank burned the
-	// original sell and the reply was lost, a refund would mint; the
-	// stranded escrow is the chaos-accounted loss.
-	if e.cfg.RestockRetry > 0 && !e.canOrder &&
-		e.cfg.Clock.Now().Sub(e.ordAt) >= e.cfg.RestockRetry {
-		e.canOrder = true
-		e.stats.restockRetries.Add(1)
-	}
-	if !e.canOrder {
-		return nil
-	}
-
-	mid := e.cfg.MinAvail + (e.cfg.MaxAvail-e.cfg.MinAvail)/2
-	var buy, sell money.EPenny
-	if e.avail < e.cfg.MinAvail {
-		// Refill to the band midpoint, never ordering less than the
-		// configured restock quantum.
-		buy = mid - e.avail
-		if buy < e.cfg.RestockAmount {
-			buy = e.cfg.RestockAmount
-		}
-	}
-	if e.avail > e.cfg.MaxAvail {
-		sell = e.avail - mid
-	}
-	if buy == 0 && sell == 0 {
-		return nil
-	}
-	if e.cfg.BankSealer == nil {
-		return ErrNotConfigured
-	}
-	nonce, err := e.nonces.Next()
-	if err != nil {
-		return fmt.Errorf("isp: order nonce: %w", err)
-	}
-	e.walNonce(e.nonces.Counter())
-	e.canOrder = false
-	e.ordNonce = nonce
-	e.ordBuy = buy
-	e.ordSell = sell
-	e.ordAt = e.cfg.Clock.Now()
-	if sell > 0 {
-		// Escrow the sold amount out of the pool at send time (the E14
-		// lesson: decrementing on reply lets user buys overdraw the pool
-		// during the bank round trip).
-		e.avail -= sell
-		e.walPoolAdd(-int64(sell))
-	}
-	body := (&wire.BatchOrder{Buy: int64(buy), Sell: int64(sell), Nonce: uint64(nonce)}).MarshalBinary()
-	sealed, err := e.cfg.BankSealer.Seal(body)
-	if err != nil {
-		if sell > 0 {
-			e.avail += sell
-			e.walPoolAdd(int64(sell))
-		}
-		e.canOrder = true
-		return fmt.Errorf("isp: seal order: %w", err)
-	}
-	e.ordTrace = e.tracer.Next()
-	e.tracer.Record(e.ordTrace, "order", int64(buy)-int64(sell), "request")
-	env := &wire.Envelope{Kind: wire.KindBatchOrder, From: int32(e.cfg.Index), Trace: uint64(e.ordTrace), Payload: sealed}
-	em.add(func() { e.cfg.Transport.SendBank(env) })
-	return nil
-}
-
 // HandleBank processes a control message from the bank: buy/sell
 // replies (§4.3) and snapshot requests (§4.4). Replies with stale or
 // replayed nonces are dropped with ErrStaleReply, exactly as the
@@ -248,40 +169,6 @@ func (e *Engine) handleBank(em *emitQueue, env *wire.Envelope) error {
 		e.canSell = true
 		e.lat.bankRTT.Observe(e.cfg.Clock.Now().Sub(e.sellAt))
 		e.tracer.Record(e.sellTrace, "restock", 0, "sold")
-		return nil
-
-	case wire.KindBatchReply:
-		var br wire.BatchReply
-		if err := br.UnmarshalBinary(plain); err != nil {
-			return err
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.canOrder || br.Nonce != uint64(e.ordNonce) {
-			return ErrStaleReply
-		}
-		e.canOrder = true
-		e.lat.bankRTT.Observe(e.cfg.Clock.Now().Sub(e.ordAt))
-		fill := money.EPenny(br.BuyFilled)
-		// A reply claiming more than the order asked would let a
-		// malicious bank mint into this pool; cap acceptance at the
-		// outstanding order.
-		if fill < 0 || fill > e.ordBuy {
-			e.tracer.Record(e.ordTrace, "restock", 0, "badfill")
-			return fmt.Errorf("isp: batch fill %d outside order [0,%d]", br.BuyFilled, int64(e.ordBuy))
-		}
-		if fill > 0 {
-			e.avail += fill
-			e.walPoolAdd(int64(fill))
-		}
-		switch {
-		case e.ordBuy == 0:
-			e.tracer.Record(e.ordTrace, "restock", 0, "sold")
-		case fill == e.ordBuy:
-			e.tracer.Record(e.ordTrace, "restock", int64(fill), "filled")
-		default:
-			e.tracer.Record(e.ordTrace, "restock", int64(fill), "partial")
-		}
 		return nil
 
 	case wire.KindRequest:

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"zmail/internal/bank"
 	"zmail/internal/crypto"
 	"zmail/internal/mail"
 	"zmail/internal/wire"
@@ -224,219 +225,300 @@ func TestTickSellsWhenHigh(t *testing.T) {
 // TestSellReplyLostReArms is the regression test for the one-sided
 // retry bug: RestockRetry re-armed only lost buys, so a single dropped
 // SellReply wedged the sell side forever and the pool band could never
-// come back down.
+// come back down. Both sides run the same script: the first reply is
+// lost, no second request goes out inside RestockRetry, a re-armed one
+// goes out after it, and the first reply arriving late is stale.
 func TestSellReplyLostReArms(t *testing.T) {
+	cases := []struct {
+		name  string
+		avail EPenny    // opening pool
+		kind  wire.Kind // request the tick sends
+		// setup runs before the first tick; reopen pushes the pool back
+		// past its band while the first exchange is pending. A buy needs
+		// neither: the pool stays short until a reply lands.
+		setup, reopen func(t *testing.T, e *Engine)
+		// late is the first request's reply, arriving after the re-arm.
+		late func(req *wire.Envelope) *wire.Envelope
+		// want is the pool after the retry. A sell's two escrows both
+		// left the pool at send time (no refund of the stranded first
+		// one), so it sits at the midpoint again; a buy credits nothing
+		// until a reply is taken.
+		want EPenny
+	}{
+		{
+			name: "buy", avail: 50, kind: wire.KindBuy,
+			late: func(req *wire.Envelope) *wire.Envelope {
+				var buy wire.Buy
+				_ = buy.UnmarshalBinary(req.Payload)
+				return &wire.Envelope{Kind: wire.KindBuyReply, From: -1,
+					Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: true}).MarshalBinary()}
+			},
+			want: 50,
+		},
+		{
+			name: "sell", avail: 2000, kind: wire.KindSell,
+			setup: func(t *testing.T, e *Engine) { mustRegister(t, e, "whale", 0, 900) },
+			reopen: func(t *testing.T, e *Engine) {
+				if err := e.SellEPennies("whale", 900); err != nil {
+					t.Fatal(err)
+				}
+			},
+			late: func(req *wire.Envelope) *wire.Envelope {
+				var sell wire.Sell
+				_ = sell.UnmarshalBinary(req.Payload)
+				return &wire.Envelope{Kind: wire.KindSellReply, From: -1,
+					Payload: (&wire.SellReply{Nonce: sell.Nonce}).MarshalBinary()}
+			},
+			want: 550,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ft, clk := newEngine(t, 0, nil, func(c *Config) {
+				c.InitialAvail = tc.avail
+				c.RestockRetry = time.Minute
+			})
+			if tc.setup != nil {
+				tc.setup(t, e)
+			}
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if len(ft.bank) != 1 || ft.bank[0].Kind != tc.kind {
+				t.Fatalf("bank traffic = %+v", ft.bank)
+			}
+			// The reply is lost. Within the retry window no second
+			// request may go out.
+			if tc.reopen != nil {
+				tc.reopen(t, e)
+			}
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if len(ft.bank) != 1 {
+				t.Fatal("traded again while the first exchange was still pending")
+			}
+			// After RestockRetry the side re-arms and the band recovers.
+			clk.Advance(time.Minute)
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if len(ft.bank) != 2 || ft.bank[1].Kind != tc.kind {
+				t.Fatalf("%s not re-armed after lost reply: %+v", tc.name, ft.bank)
+			}
+			if e.Stats().RestockRetries != 1 {
+				t.Fatalf("RestockRetries = %d, want 1", e.Stats().RestockRetries)
+			}
+			if e.Avail() != tc.want {
+				t.Fatalf("pool = %v, want %v", e.Avail(), tc.want)
+			}
+			// The original reply arriving late is stale: its nonce was
+			// replaced, so it moves nothing.
+			if err := e.HandleBank(tc.late(ft.bank[0])); !errors.Is(err, ErrStaleReply) {
+				t.Fatalf("late first reply: %v", err)
+			}
+			if e.Avail() != tc.want {
+				t.Fatalf("late reply moved the pool to %v", e.Avail())
+			}
+		})
+	}
+}
+
+// The TestBatch* tests below pin the per-side exchange's answers to
+// what the retired coalesced order did differently: a buy of one
+// fixed quantum instead of a refill to the midpoint, independent buy
+// and sell slots instead of one order slot, all-or-nothing fills
+// instead of partial ones, and a reply that carries no amount.
+
+func buyReply(req *wire.Envelope, accepted bool) *wire.Envelope {
+	var buy wire.Buy
+	_ = buy.UnmarshalBinary(req.Payload)
+	return &wire.Envelope{Kind: wire.KindBuyReply, From: -1,
+		Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: accepted}).MarshalBinary()}
+}
+
+func TestBatchTickBuysWhenLow(t *testing.T) {
+	// Each buy asks for RestockAmount, however far below the band the
+	// pool sits, so a small quantum takes several exchanges to climb
+	// back, one outstanding at a time.
+	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
+		c.InitialAvail = 50
+		c.RestockAmount = 30
+	})
+	for i, want := range []EPenny{80, 110} {
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ft.bank) != i+1 || ft.bank[i].Kind != wire.KindBuy {
+			t.Fatalf("tick %d: bank traffic = %+v", i, ft.bank)
+		}
+		var buy wire.Buy
+		_ = buy.UnmarshalBinary(ft.bank[i].Payload)
+		if buy.Value != 30 {
+			t.Fatalf("tick %d: buy value = %d, want the quantum 30", i, buy.Value)
+		}
+		if err := e.HandleBank(buyReply(ft.bank[i], true)); err != nil {
+			t.Fatal(err)
+		}
+		if e.Avail() != want {
+			t.Fatalf("tick %d: pool = %v, want %v", i, e.Avail(), want)
+		}
+	}
+	// Back inside the band: the tick asks for nothing.
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ft.bank) != 2 {
+		t.Fatalf("traded inside the band: %+v", ft.bank)
+	}
+}
+
+func TestBatchTickSellsWhenHigh(t *testing.T) {
+	// The buy and sell handshakes are separate slots: a pool that
+	// swings above the band while a buy is pending sells at once, and
+	// the replies close their own sides in either order.
+	e, ft, _ := newEngine(t, 0, nil, func(c *Config) { c.InitialAvail = 2000 })
+	mustRegister(t, e, "whale", 0, 1950) // pool 50
+	if err := e.Tick(); err != nil {     // buys 450
+		t.Fatal(err)
+	}
+	if err := e.SellEPennies("whale", 1950); err != nil { // pool 2000
+		t.Fatal(err)
+	}
+	if err := e.Tick(); err != nil { // sells 1450, escrow to the midpoint 550
+		t.Fatal(err)
+	}
+	if len(ft.bank) != 2 || ft.bank[0].Kind != wire.KindBuy || ft.bank[1].Kind != wire.KindSell {
+		t.Fatalf("bank traffic = %+v", ft.bank)
+	}
+	if e.Avail() != 550 {
+		t.Fatalf("pool after escrow = %v, want 550", e.Avail())
+	}
+	var sell wire.Sell
+	_ = sell.UnmarshalBinary(ft.bank[1].Payload)
+	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindSellReply, From: -1,
+		Payload: (&wire.SellReply{Nonce: sell.Nonce}).MarshalBinary()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.HandleBank(buyReply(ft.bank[0], true)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Avail() != 1000 {
+		t.Fatalf("pool after both replies = %v, want 1000", e.Avail())
+	}
+}
+
+// bankLink hands a bank's replies straight to the engine.
+type bankLink struct {
+	e   *Engine
+	err error
+}
+
+func (l *bankLink) SendISP(_ int, env *wire.Envelope) { l.err = l.e.HandleBank(env) }
+
+func TestBatchPartialFillCredited(t *testing.T) {
+	// A buy is all or nothing: a bank account that covers only part
+	// of RestockAmount (450) is denied in full, the pool gains
+	// nothing, and the next tick asks for the whole amount again.
+	e, ft, _ := newEngine(t, 0, nil, func(c *Config) { c.InitialAvail = 50 })
+	link := &bankLink{e: e}
+	b, err := bank.New(bank.Config{NumISPs: len(testDomains), InitialAccount: 300, Transport: link, OwnSealer: crypto.Null{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Enroll(0, crypto.Null{}); err != nil {
+		t.Fatal(err)
+	}
+	trade := func() {
+		t.Helper()
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Handle(ft.bank[len(ft.bank)-1]); err != nil {
+			t.Fatal(err)
+		}
+		if link.err != nil {
+			t.Fatal(link.err)
+		}
+	}
+	trade()
+	if acct, _ := b.Account(0); e.Avail() != 50 || acct != 300 {
+		t.Fatalf("after denial: pool %v, account %v; want 50, 300", e.Avail(), acct)
+	}
+	if err := b.Deposit(0, 200); err != nil {
+		t.Fatal(err)
+	}
+	trade()
+	var buy wire.Buy
+	_ = buy.UnmarshalBinary(ft.bank[1].Payload)
+	if len(ft.bank) != 2 || buy.Value != 450 {
+		t.Fatalf("retry = %+v, want one more buy of 450", ft.bank)
+	}
+	if acct, _ := b.Account(0); e.Avail() != 500 || acct != 50 {
+		t.Fatalf("after fill: pool %v, account %v; want 500, 50", e.Avail(), acct)
+	}
+	if st := b.Stats(); st.BuysDenied != 1 || st.BuysAccepted != 1 || st.Minted != 450 {
+		t.Fatalf("bank stats = %+v", st)
+	}
+}
+
+func TestBatchReplyOverfillRejected(t *testing.T) {
+	// A reply carries no amount, so a bank cannot grant more than was
+	// asked: the pool grows by the engine's own pending buy. A reply of
+	// the other side carrying the buy's nonce, or a forged nonce, is
+	// stale and mints nothing.
+	e, ft, _ := newEngine(t, 0, nil, func(c *Config) { c.InitialAvail = 50 })
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	var buy wire.Buy
+	_ = buy.UnmarshalBinary(ft.bank[0].Payload)
+	for _, forged := range []*wire.Envelope{
+		{Kind: wire.KindSellReply, From: -1, Payload: (&wire.SellReply{Nonce: buy.Nonce}).MarshalBinary()},
+		{Kind: wire.KindBuyReply, From: -1, Payload: (&wire.BuyReply{Nonce: buy.Nonce + 1, Accepted: true}).MarshalBinary()},
+	} {
+		if err := e.HandleBank(forged); !errors.Is(err, ErrStaleReply) {
+			t.Fatalf("forged %v: %v", forged.Kind, err)
+		}
+	}
+	if e.Avail() != 50 {
+		t.Fatalf("pool after forged replies = %v, want 50", e.Avail())
+	}
+	if err := e.HandleBank(buyReply(ft.bank[0], true)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Avail() != 50+EPenny(buy.Value) {
+		t.Fatalf("pool = %v, want %v", e.Avail(), 50+buy.Value)
+	}
+}
+
+func TestBatchOrderLostReplyReArms(t *testing.T) {
+	// A lost SellReply re-arms the sell side after RestockRetry even
+	// when the pool has nothing to sell at that moment, so a later
+	// climb above the band sells at once.
 	e, ft, clk := newEngine(t, 0, nil, func(c *Config) {
 		c.InitialAvail = 2000
 		c.RestockRetry = time.Minute
 	})
 	mustRegister(t, e, "whale", 0, 900)
-	if err := e.Tick(); err != nil { // sells 1450, escrow to the midpoint 550
+	if err := e.Tick(); err != nil { // sells down to the midpoint 550, escrowed
 		t.Fatal(err)
 	}
-	if len(ft.bank) != 1 || ft.bank[0].Kind != wire.KindSell {
-		t.Fatalf("bank traffic = %+v", ft.bank)
-	}
-	// The SellReply is lost. The pool climbs back above MaxAvail, but
-	// within the retry window no second sell may go out.
-	if err := e.SellEPennies("whale", 900); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 {
-		t.Fatal("sold again while the first exchange was still pending")
-	}
-	// After RestockRetry the sell side re-arms and the band recovers.
 	clk.Advance(time.Minute)
+	if err := e.Tick(); err != nil { // inside the band: re-arms, sends nothing
+		t.Fatal(err)
+	}
+	if len(ft.bank) != 1 || e.Stats().RestockRetries != 1 {
+		t.Fatalf("bank traffic = %+v, RestockRetries = %d; want 1 request, 1 retry", ft.bank, e.Stats().RestockRetries)
+	}
+	if err := e.SellEPennies("whale", 900); err != nil { // pool 1450
+		t.Fatal(err)
+	}
 	if err := e.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	if len(ft.bank) != 2 || ft.bank[1].Kind != wire.KindSell {
 		t.Fatalf("sell not re-armed after lost reply: %+v", ft.bank)
-	}
-	if e.Stats().RestockRetries != 1 {
-		t.Fatalf("RestockRetries = %d, want 1", e.Stats().RestockRetries)
-	}
-	// Escrow semantics survive the retry: both sells' amounts left the
-	// pool at send time (no refund of the stranded first escrow), so the
-	// pool sits at the midpoint again.
-	if e.Avail() != 550 {
-		t.Fatalf("pool = %v, want 550", e.Avail())
-	}
-	// The original reply arriving late is stale: its nonce was replaced.
-	var firstSell wire.Sell
-	_ = firstSell.UnmarshalBinary(ft.bank[0].Payload)
-	late := &wire.Envelope{Kind: wire.KindSellReply, From: -1,
-		Payload: (&wire.SellReply{Nonce: firstSell.Nonce}).MarshalBinary()}
-	if err := e.HandleBank(late); !errors.Is(err, ErrStaleReply) {
-		t.Fatalf("late first reply: %v", err)
-	}
-}
-
-func batchReply(nonce uint64, fill, burned int64) *wire.Envelope {
-	return &wire.Envelope{Kind: wire.KindBatchReply, From: -1,
-		Payload: (&wire.BatchReply{Nonce: nonce, BuyFilled: fill, SellBurned: burned}).MarshalBinary()}
-}
-
-func TestBatchTickBuysWhenLow(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 50
-		c.RestockAmount = 200
-	})
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 || ft.bank[0].Kind != wire.KindBatchOrder {
-		t.Fatalf("bank traffic = %+v", ft.bank)
-	}
-	// No double order while one is outstanding.
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 {
-		t.Fatalf("double order: %d requests", len(ft.bank))
-	}
-	var ord wire.BatchOrder
-	if err := ord.UnmarshalBinary(ft.bank[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	// Refills to the band midpoint (550 - 50 = 500 > RestockAmount).
-	if ord.Buy != 500 || ord.Sell != 0 {
-		t.Fatalf("order = %+v", ord)
-	}
-	if err := e.HandleBank(batchReply(ord.Nonce, 500, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.Avail() != 550 {
-		t.Fatalf("pool after fill = %v, want 550", e.Avail())
-	}
-	// Nonce replay of the reply is stale.
-	if err := e.HandleBank(batchReply(ord.Nonce, 500, 0)); !errors.Is(err, ErrStaleReply) {
-		t.Fatalf("replayed batch reply: %v", err)
-	}
-	if e.Avail() != 550 {
-		t.Fatal("replayed reply changed the pool")
-	}
-}
-
-func TestBatchTickSellsWhenHigh(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 2000
-	})
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	var ord wire.BatchOrder
-	if err := ord.UnmarshalBinary(ft.bank[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	if ord.Buy != 0 || ord.Sell != 1450 {
-		t.Fatalf("order = %+v", ord)
-	}
-	// Escrow at send, exactly like the legacy sell path.
-	if e.Avail() != 550 {
-		t.Fatalf("pool after escrow = %v, want 550", e.Avail())
-	}
-	if err := e.HandleBank(batchReply(ord.Nonce, 0, 1450)); err != nil {
-		t.Fatal(err)
-	}
-	if e.Avail() != 550 {
-		t.Fatalf("pool after reply = %v, want 550", e.Avail())
-	}
-}
-
-func TestBatchPartialFillCredited(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 50
-	})
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	var ord wire.BatchOrder
-	_ = ord.UnmarshalBinary(ft.bank[0].Payload)
-	// The bank could only cover 30 of the 500 asked.
-	if err := e.HandleBank(batchReply(ord.Nonce, 30, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.Avail() != 80 {
-		t.Fatalf("pool after partial fill = %v, want 80", e.Avail())
-	}
-	// Still below MinAvail: the next tick orders up to the midpoint again.
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 2 {
-		t.Fatal("no follow-up order after partial fill")
-	}
-	var ord2 wire.BatchOrder
-	_ = ord2.UnmarshalBinary(ft.bank[1].Payload)
-	if ord2.Buy != 470 {
-		t.Fatalf("follow-up buy = %d, want 470", ord2.Buy)
-	}
-}
-
-func TestBatchReplyOverfillRejected(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 50
-	})
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	var ord wire.BatchOrder
-	_ = ord.UnmarshalBinary(ft.bank[0].Payload)
-	// A malicious bank granting more than asked must not mint into the
-	// pool.
-	if err := e.HandleBank(batchReply(ord.Nonce, ord.Buy+1, 0)); err == nil {
-		t.Fatal("overfill accepted")
-	}
-	if e.Avail() != 50 {
-		t.Fatalf("pool after overfill = %v, want 50", e.Avail())
-	}
-	if err := e.HandleBank(batchReply(ord.Nonce, -1, 0)); !errors.Is(err, ErrStaleReply) {
-		// The overfill re-armed the order slot, so the nonce is stale now.
-		t.Fatalf("negative fill after re-arm: %v", err)
-	}
-}
-
-func TestBatchOrderLostReplyReArms(t *testing.T) {
-	e, ft, clk := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 2000
-		c.RestockRetry = time.Minute
-	})
-	mustRegister(t, e, "whale", 0, 900) // funded from the pool: 1100 left
-	if err := e.Tick(); err != nil {    // order: sell down to 550, escrowed
-		t.Fatal(err)
-	}
-	if err := e.Tick(); err != nil { // reply lost; within the window: no retry
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 {
-		t.Fatal("ordered again while the first was pending")
-	}
-	clk.Advance(time.Minute)
-	// Pool sits at the midpoint after escrow: nothing to trade, but the
-	// order slot re-arms so the band can recover later.
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().RestockRetries != 1 {
-		t.Fatalf("RestockRetries = %d, want 1", e.Stats().RestockRetries)
-	}
-	if err := e.SellEPennies("whale", 900); err != nil { // pool 1450 again
-		t.Fatal(err)
-	}
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 2 || ft.bank[1].Kind != wire.KindBatchOrder {
-		t.Fatalf("order not re-armed after lost reply: %+v", ft.bank)
 	}
 }
 

@@ -178,14 +178,6 @@ type Config struct {
 	// auditor (internal/chaos) accounts explicitly.
 	RestockRetry time.Duration
 
-	// BatchOrders coalesces pool maintenance into single sealed
-	// wire.BatchOrder messages (one RTT + one nonce + one seal covering
-	// both the buy and the sell side, with partial-fill replies) instead
-	// of the paper's separate buy/sell exchanges. Requires a bank that
-	// understands KindBatchOrder. Off by default so seeded simulations
-	// keep the legacy per-side handshake byte-identical.
-	BatchOrders bool
-
 	// DefaultLimit is the per-user daily send cap applied when a user
 	// registers without an explicit limit (§5, zombie containment).
 	DefaultLimit int64
@@ -416,16 +408,6 @@ type Engine struct {
 	sellAt    time.Time // when the pending sell was issued (RTT metric)
 	buyTrace  trace.ID  // flow ID of the pending buy exchange
 	sellTrace trace.ID  // flow ID of the pending sell exchange
-
-	// Coalesced-order handshake state (Config.BatchOrders; see
-	// tickBatch). One outstanding order at a time, mirroring the
-	// one-outstanding-buy/one-outstanding-sell discipline above.
-	canOrder bool
-	ordNonce crypto.Nonce // pending order nonce
-	ordBuy   money.EPenny // buy side of the pending order
-	ordSell  money.EPenny // escrowed sell side of the pending order
-	ordAt    time.Time    // when the pending order was issued
-	ordTrace trace.ID     // flow ID of the pending order exchange
 }
 
 // New validates cfg and builds an engine.
@@ -475,17 +457,16 @@ func New(cfg Config) (*Engine, error) {
 		nonces = crypto.NewSource(nil)
 	}
 	e := &Engine{
-		cfg:      cfg,
-		nonces:   nonces,
-		tracer:   cfg.Tracer,
-		stripes:  make([]accountStripe, cfg.Stripes),
-		credit:   make([]atomic.Int64, cfg.Directory.Len()),
-		avail:    cfg.InitialAvail,
-		canBuy:   true,
-		canSell:  true,
-		canOrder: true,
-		msgIDs:   mail.NewMessageIDCounter(cfg.Domain),
-		lat:      newEngineLatencies(),
+		cfg:     cfg,
+		nonces:  nonces,
+		tracer:  cfg.Tracer,
+		stripes: make([]accountStripe, cfg.Stripes),
+		credit:  make([]atomic.Int64, cfg.Directory.Len()),
+		avail:   cfg.InitialAvail,
+		canBuy:  true,
+		canSell: true,
+		msgIDs:  mail.NewMessageIDCounter(cfg.Domain),
+		lat:     newEngineLatencies(),
 	}
 	e.stripeMask = uint32(cfg.Stripes - 1)
 	for i := range e.stripes {

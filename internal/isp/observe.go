@@ -12,9 +12,10 @@ import (
 var _ metrics.Collector = (*Engine)(nil)
 
 // Collect implements metrics.Collector: it publishes the engine's
-// throughput counters, pool state, stripe-contention counters, and
-// registers the engine-owned hot-path latency histograms (submission,
-// remote receive, bank round trip, stripe-lock waits).
+// throughput counters, pool state, stripe-contention counters, the
+// admission queue's depth and counters, and registers the engine-owned
+// hot-path latency histograms (admission, submission, remote receive,
+// bank round trip, stripe-lock waits).
 func (e *Engine) Collect(r *metrics.Registry) {
 	isp := e.cfg.Domain
 	g := func(name string, v float64) { r.Gauge(name, "isp", isp).Set(v) }
@@ -35,6 +36,11 @@ func (e *Engine) Collect(r *metrics.Registry) {
 	g("zmail_isp_snapshot_rounds_total", float64(st.SnapshotRounds))
 	g("zmail_isp_zombie_warnings_total", float64(st.ZombieWarnings))
 	g("zmail_isp_restock_retries_total", float64(st.RestockRetries))
+	// Admission: rejected counts the submissions a full or detached
+	// queue refused (the 451s); dropped counts admitted mail the commit
+	// later refused.
+	g("zmail_isp_queue_rejected_total", float64(st.QueueRejected))
+	g("zmail_isp_queue_dropped_total", float64(st.QueueDropped))
 
 	g("zmail_isp_pool_avail", float64(e.Avail()))
 	if e.Frozen() {
@@ -42,6 +48,13 @@ func (e *Engine) Collect(r *metrics.Registry) {
 	} else {
 		g("zmail_isp_frozen", 0)
 	}
+
+	q := e.QueueStats()
+	g("zmail_isp_queue_depth", float64(e.QueueDepth()))
+	g("zmail_mempool_enqueued_total", float64(q.Enqueued))
+	g("zmail_mempool_rejected_total", float64(q.Rejected))
+	g("zmail_mempool_committed_total", float64(q.Committed))
+	g("zmail_mempool_batches_total", float64(q.Batches))
 
 	c := e.Contention()
 	var hits, maxHits int64
@@ -59,6 +72,7 @@ func (e *Engine) Collect(r *metrics.Registry) {
 		g("zmail_isp_stripe_skew", float64(maxHits)*float64(len(c.StripeHits))/float64(hits))
 	}
 
+	r.SetLatency("zmail_isp_admit_seconds", e.lat.admit, "isp", isp)
 	r.SetLatency("zmail_isp_submit_seconds", e.lat.submit, "isp", isp)
 	r.SetLatency("zmail_isp_receive_seconds", e.lat.receive, "isp", isp)
 	r.SetLatency("zmail_isp_bank_rtt_seconds", e.lat.bankRTT, "isp", isp)

@@ -201,15 +201,15 @@ func TestWALCrashMidDrain(t *testing.T) {
 	e1.StartQueue(QueueConfig{Depth: 32, Workers: 1, Batch: 1})
 	const before, after = 4, 4
 	for i := 0; i < before; i++ {
-		if _, err := e1.Submit(remoteMsg("alice")); err != nil {
+		if err := e1.Submit(remoteMsg("alice")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e1.Submit(remoteMsg("bob")); err != nil {
+	if err := e1.Submit(remoteMsg("bob")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < after; i++ {
-		if _, err := e1.Submit(remoteMsg("alice")); err != nil {
+		if err := e1.Submit(remoteMsg("alice")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -281,10 +281,8 @@ func DefaultConfig() Config {
 		MintFuncs: []string{
 			// ISP side of the bank exchange: buyreply mints pool
 			// e-pennies against the bank account, the sell tick burns
-			// them into escrow. tickBatch is the coalesced-order twin:
-			// one sealed BatchOrder escrows the sell side at send.
+			// them into escrow.
 			"zmail/internal/isp:tick",
-			"zmail/internal/isp:tickBatch",
 			"zmail/internal/isp:handleBank",
 			// The AP model's equivalents, registered as closures.
 			"zmail/internal/ap/zmailspec:rcv-buyreply",
@@ -306,7 +304,6 @@ func DefaultConfig() Config {
 		NonceRequestTypes: []string{
 			"zmail/internal/wire.Buy",
 			"zmail/internal/wire.Sell",
-			"zmail/internal/wire.BatchOrder",
 			"zmail/internal/ap/zmailspec.buyMsg",
 			"zmail/internal/ap/zmailspec.sellMsg",
 		},
@@ -318,11 +315,8 @@ func DefaultConfig() Config {
 			// email travels the SMTP data plane, resume is documented
 			// deviation 3 (freeze recovery) — neither has a bank-link
 			// codec. hello is the transport bootstrap below the AP model.
-			// batchorder/batchreply coalesce the spec's buy and sell
-			// exchanges into one round trip (DESIGN decision 15); the AP
-			// model keeps the split messages it was verified with.
 			SpecOnly: []string{"email", "resume"},
-			WireOnly: []string{"hello", "batchorder", "batchreply"},
+			WireOnly: []string{"hello"},
 		},
 		WalflowPkgs: []string{
 			"zmail/internal/isp",
@@ -348,7 +342,7 @@ func DefaultConfig() Config {
 			"zmail/internal/bank:walBuy", "zmail/internal/bank:walSell",
 			"zmail/internal/bank:walNonce", "zmail/internal/bank:walDeposit",
 			"zmail/internal/bank:walRound", "zmail/internal/bank:walSeq",
-			"zmail/internal/bank:walSettle", "zmail/internal/bank:walBatch",
+			"zmail/internal/bank:walSettle",
 		},
 		WALExemptFuncs: []string{
 			// Constructors build initial state the first snapshot covers;
@@ -409,15 +403,6 @@ func DefaultConfig() Config {
 			"zmail/internal/isp.Engine.sellAt":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.Engine.buyTrace":  {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.Engine.sellTrace": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			// Coalesced-order cold state (DESIGN decision 15): one
-			// outstanding BatchOrder slot per engine, under Engine.mu like
-			// the split-order state it replaces.
-			"zmail/internal/isp.Engine.canOrder": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ordNonce": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ordBuy":   {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ordSell":  {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ordAt":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ordTrace": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			// The freeze flag itself: the write side flips it, the read
 			// side observes it.
 			"zmail/internal/isp.Engine.frozen": {"zmail/internal/isp.Engine.freezeMu"},

@@ -131,34 +131,29 @@ func FuzzDecodeBodies(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Buy{Value: 500, Nonce: 42}).MarshalBinary())
 	f.Add((&CreditReport{Seq: 9, Credits: []int64{-3, 0, 3}}).MarshalBinary())
-	f.Add((&BatchOrder{Buy: 400, Sell: 120, Nonce: 77}).MarshalBinary())
-	f.Add((&BatchReply{Nonce: 77, BuyFilled: 250, SellBurned: 120}).MarshalBinary())
+	f.Add((&Sell{Value: 120, Nonce: 77}).MarshalBinary())
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every decoder sees every input: none may panic, and claimed
 		// lengths beyond the data must be rejected, never allocated.
-		var buy Buy
-		_ = buy.UnmarshalBinary(data)
 		var br BuyReply
 		_ = br.UnmarshalBinary(data)
-		var sell Sell
-		_ = sell.UnmarshalBinary(data)
 		var sr SellReply
 		_ = sr.UnmarshalBinary(data)
 		var rq Request
 		_ = rq.UnmarshalBinary(data)
-		var bo BatchOrder
-		if err := bo.UnmarshalBinary(data); err == nil {
+		var buy Buy
+		if err := buy.UnmarshalBinary(data); err == nil {
 			// Accepted fixed-size bodies re-encode to the prefix they were
 			// decoded from, through the append path.
-			if got := bo.AppendBinary(nil); !bytes.Equal(got, data[:len(got)]) {
-				t.Fatalf("BatchOrder re-encode differs from accepted prefix")
+			if got := buy.AppendBinary(nil); !bytes.Equal(got, data[:len(got)]) {
+				t.Fatalf("Buy re-encode differs from accepted prefix")
 			}
 		}
-		var brep BatchReply
-		if err := brep.UnmarshalBinary(data); err == nil {
-			if got := brep.AppendBinary(nil); !bytes.Equal(got, data[:len(got)]) {
-				t.Fatalf("BatchReply re-encode differs from accepted prefix")
+		var sell Sell
+		if err := sell.UnmarshalBinary(data); err == nil {
+			if got := sell.AppendBinary(nil); !bytes.Equal(got, data[:len(got)]) {
+				t.Fatalf("Sell re-encode differs from accepted prefix")
 			}
 		}
 		var cr CreditReport
@@ -176,11 +171,11 @@ func FuzzReadEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
-	var batchFramed bytes.Buffer
-	if err := WriteEnvelope(&batchFramed, &Envelope{Kind: KindBatchOrder, From: 2, Trace: 5, Payload: []byte{9, 9}}); err != nil {
+	var sellFramed bytes.Buffer
+	if err := WriteEnvelope(&sellFramed, &Envelope{Kind: KindSell, From: 2, Trace: 5, Payload: []byte{9, 9}}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(batchFramed.Bytes())
+	f.Add(sellFramed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})     // length > MaxEnvelopeSize
 	f.Add([]byte{10, 0, 0, 0, 0x5A, 0x4D, 1}) // truncated body

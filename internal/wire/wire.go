@@ -42,9 +42,10 @@ import (
 // Kind discriminates envelope payloads.
 type Kind uint8
 
-// Message kinds, one per paper message. The batch kinds extend the
-// paper's vocabulary and are appended after KindHello so existing
-// on-the-wire byte values never change.
+// Message kinds, one per paper message. Byte values never change, and
+// 8 and 9 stay retired: they carried the coalesced buy+sell order and
+// its reply, which the pool band made pointless (a tick never needs
+// both sides at once).
 const (
 	KindBuy Kind = iota + 1
 	KindBuyReply
@@ -57,12 +58,7 @@ const (
 	// ISP's index before any substantive traffic flows (needed for
 	// bank-initiated snapshot requests).
 	KindHello
-	// KindBatchOrder coalesces one buy and one sell into a single
-	// sealed, nonced order (see BatchOrder).
-	KindBatchOrder
-	// KindBatchReply answers a batch order with the partially-fillable
-	// grant (see BatchReply).
-	KindBatchReply
+	// The next kind is 10.
 )
 
 // String names the kind.
@@ -82,10 +78,6 @@ func (k Kind) String() string {
 		return "reply"
 	case KindHello:
 		return "hello"
-	case KindBatchOrder:
-		return "batchorder"
-	case KindBatchReply:
-		return "batchreply"
 	default:
 		return fmt.Sprintf("wire.Kind(%d)", uint8(k))
 	}
@@ -96,7 +88,7 @@ func (k Kind) String() string {
 // against String(), and the specbind runtime twin compares this
 // enumeration against the AP spec's receive vocabulary.
 func Kinds() []Kind {
-	return []Kind{KindBuy, KindBuyReply, KindSell, KindSellReply, KindRequest, KindReply, KindHello, KindBatchOrder, KindBatchReply}
+	return []Kind{KindBuy, KindBuyReply, KindSell, KindSellReply, KindRequest, KindReply, KindHello}
 }
 
 // Errors returned by decoders.
@@ -372,71 +364,5 @@ func (m *CreditReport) UnmarshalBinary(data []byte) error {
 	for i := range m.Credits {
 		m.Credits[i] = int64(binary.LittleEndian.Uint64(data[12+8*i:]))
 	}
-	return nil
-}
-
-// BatchOrder is the coalesced §4.3 exchange: one sealed, nonced order
-// carrying both sides of the pool-maintenance trade. Buy is the
-// e-penny amount requested from the bank (0 when the pool is not
-// short); Sell is the escrowed amount sold back (0 when the pool is
-// not over its band). A single nonce and a single seal cover the whole
-// order, so one bank round trip amortizes over however many e-pennies
-// the order moves.
-type BatchOrder struct {
-	Buy   int64
-	Sell  int64
-	Nonce uint64
-}
-
-// AppendBinary appends the encoded body to buf.
-func (m *BatchOrder) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Buy))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Sell))
-	return binary.LittleEndian.AppendUint64(buf, m.Nonce)
-}
-
-// MarshalBinary encodes the body.
-func (m *BatchOrder) MarshalBinary() []byte { return m.AppendBinary(nil) }
-
-// UnmarshalBinary decodes the body.
-func (m *BatchOrder) UnmarshalBinary(data []byte) error {
-	if len(data) < 24 {
-		return ErrShortMessage
-	}
-	m.Buy = int64(binary.LittleEndian.Uint64(data[0:8]))
-	m.Sell = int64(binary.LittleEndian.Uint64(data[8:16]))
-	m.Nonce = binary.LittleEndian.Uint64(data[16:24])
-	return nil
-}
-
-// BatchReply answers a BatchOrder. BuyFilled is the granted buy amount
-// — the bank fills as much of the requested buy as the ISP's account
-// covers, so it ranges from 0 to the order's Buy (a partial fill).
-// SellBurned echoes the burned sell amount for the order's audit
-// trail.
-type BatchReply struct {
-	Nonce      uint64
-	BuyFilled  int64
-	SellBurned int64
-}
-
-// AppendBinary appends the encoded body to buf.
-func (m *BatchReply) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, m.Nonce)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.BuyFilled))
-	return binary.LittleEndian.AppendUint64(buf, uint64(m.SellBurned))
-}
-
-// MarshalBinary encodes the body.
-func (m *BatchReply) MarshalBinary() []byte { return m.AppendBinary(nil) }
-
-// UnmarshalBinary decodes the body.
-func (m *BatchReply) UnmarshalBinary(data []byte) error {
-	if len(data) < 24 {
-		return ErrShortMessage
-	}
-	m.Nonce = binary.LittleEndian.Uint64(data[0:8])
-	m.BuyFilled = int64(binary.LittleEndian.Uint64(data[8:16]))
-	m.SellBurned = int64(binary.LittleEndian.Uint64(data[16:24]))
 	return nil
 }

@@ -98,7 +98,6 @@ func TestTruncatedBodies(t *testing.T) {
 		UnmarshalBinary([]byte) error
 	}{
 		&Buy{}, &BuyReply{}, &Sell{}, &SellReply{}, &Request{}, &CreditReport{},
-		&BatchOrder{}, &BatchReply{},
 	}
 	for _, m := range cases {
 		if err := m.UnmarshalBinary([]byte{1, 2, 3}); !errors.Is(err, ErrShortMessage) {
@@ -119,28 +118,6 @@ func TestCreditReportLengthLie(t *testing.T) {
 	}
 }
 
-func TestBatchOrderRoundTrip(t *testing.T) {
-	f := func(buy, sell int64, nonce uint64) bool {
-		in := BatchOrder{Buy: buy, Sell: sell, Nonce: nonce}
-		var out BatchOrder
-		return out.UnmarshalBinary(in.MarshalBinary()) == nil && out == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBatchReplyRoundTrip(t *testing.T) {
-	f := func(nonce uint64, filled, burned int64) bool {
-		in := BatchReply{Nonce: nonce, BuyFilled: filled, SellBurned: burned}
-		var out BatchReply
-		return out.UnmarshalBinary(in.MarshalBinary()) == nil && out == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestAppendBinaryPrefix pins the append-style contract: AppendBinary
 // extends the caller's buffer in place without disturbing existing
 // bytes, and the appended suffix equals MarshalBinary's output.
@@ -156,9 +133,7 @@ func TestAppendBinaryPrefix(t *testing.T) {
 		&SellReply{Nonce: 5},
 		&Request{Seq: 6},
 		&CreditReport{Seq: 7, Credits: []int64{-1, 0, 8}},
-		&BatchOrder{Buy: 300, Sell: 0, Nonce: 11},
-		&BatchReply{Nonce: 11, BuyFilled: 120, SellBurned: 0},
-		&Envelope{Kind: KindBatchOrder, From: 2, Trace: 42, Payload: []byte("sealed")},
+		&Envelope{Kind: KindSell, From: 2, Trace: 42, Payload: []byte("sealed")},
 	}
 	for _, m := range msgs {
 		buf := append([]byte(nil), prefix...)
@@ -176,7 +151,7 @@ func TestAppendBinaryPrefix(t *testing.T) {
 // pool is warm, framing an envelope into a pre-grown writer allocates
 // nothing.
 func TestWriteEnvelopeZeroAlloc(t *testing.T) {
-	e := &Envelope{Kind: KindBatchOrder, From: 1, Trace: 9, Payload: make([]byte, 64)}
+	e := &Envelope{Kind: KindSell, From: 1, Trace: 9, Payload: make([]byte, 64)}
 	w := io.Discard
 	// Warm the pool.
 	if err := WriteEnvelope(w, e); err != nil {
@@ -272,7 +247,7 @@ func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		KindBuy: "buy", KindBuyReply: "buyreply", KindSell: "sell",
 		KindSellReply: "sellreply", KindRequest: "request", KindReply: "reply",
-		KindHello: "hello", KindBatchOrder: "batchorder", KindBatchReply: "batchreply",
+		KindHello: "hello",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -281,6 +256,14 @@ func TestKindString(t *testing.T) {
 	}
 	if got := Kind(200).String(); got != "wire.Kind(200)" {
 		t.Errorf("unknown kind = %q", got)
+	}
+	// 8 and 9 carried the retired coalesced order and its reply; a
+	// kind added after KindHello must skip them so an old peer's
+	// traffic is never read as something else.
+	for _, k := range []Kind{8, 9} {
+		if got, want := k.String(), fmt.Sprintf("wire.Kind(%d)", uint8(k)); got != want {
+			t.Errorf("retired kind %d reused as %q", uint8(k), got)
+		}
 	}
 }
 
@@ -306,8 +289,6 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 		func() interface{ UnmarshalBinary([]byte) error } { return &SellReply{} },
 		func() interface{ UnmarshalBinary([]byte) error } { return &Request{} },
 		func() interface{ UnmarshalBinary([]byte) error } { return &CreditReport{} },
-		func() interface{ UnmarshalBinary([]byte) error } { return &BatchOrder{} },
-		func() interface{ UnmarshalBinary([]byte) error } { return &BatchReply{} },
 		func() interface{ UnmarshalBinary([]byte) error } { return &Envelope{} },
 	}
 	f := func(data []byte) bool {

@@ -116,8 +116,6 @@ type (
 	SendOutcome = isp.SendOutcome
 	// QueueConfig sizes an engine's admission queue (StartQueue).
 	QueueConfig = isp.QueueConfig
-	// Admission reports what the async Submit did with a message.
-	Admission = isp.Admission
 	// Bank is the central e-penny authority.
 	Bank = bank.Bank
 	// BankConfig configures the bank.
@@ -167,12 +165,6 @@ const (
 	SentPaid     = isp.SentPaid
 	SentUnpaid   = isp.SentUnpaid
 	SentBuffered = isp.SentBuffered
-)
-
-// Admission outcomes (the async Submit path).
-const (
-	AdmitQueued    = isp.AdmitQueued
-	AdmitCommitted = isp.AdmitCommitted
 )
 
 // Statement entry kinds.
