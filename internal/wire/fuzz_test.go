@@ -132,6 +132,7 @@ func FuzzDecodeBodies(f *testing.F) {
 	f.Add((&Buy{Value: 500, Nonce: 42}).MarshalBinary())
 	f.Add((&CreditReport{Seq: 9, Credits: []int64{-3, 0, 3}}).MarshalBinary())
 	f.Add((&Sell{Value: 120, Nonce: 77}).MarshalBinary())
+	f.Add((&BuyReply{Nonce: 77, Accepted: true}).MarshalBinary())
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every decoder sees every input: none may panic, and claimed
