@@ -102,16 +102,18 @@ type daemon struct {
 }
 
 // Close shuts the daemon down: stop the checkpoint timer, close the
-// write-ahead log, then close the listeners.
+// listeners and drain the admission queue, then close the write-ahead
+// log, so every message already answered 250 and every relay received
+// before the listeners closed is in the log.
 func (d *daemon) Close() {
 	d.stopCkpt()
-	d.closeWAL()
 	if d.admin != nil {
 		if err := d.admin.Close(); err != nil {
 			d.logf("metrics server close: %v", err)
 		}
 	}
 	d.node.Close()
+	d.closeWAL()
 }
 
 func run(args []string) error {

@@ -172,9 +172,11 @@ func (i *ISP) Engine() *isp.Engine { return i.node.Engine() }
 // not the node).
 func (i *ISP) Delivered() int64 { return i.delivered.Load() }
 
-// Close tears this ISP daemon down: telemetry first, then the WAL so
-// the final ledger state is durable, then the node itself. Safe on a
-// partially booted daemon — whatever never started is skipped.
+// Close tears this ISP daemon down: telemetry first, then the node
+// (listeners, relays and the admission queue's drain), then the WAL,
+// so the final ledger state — every message answered 250 and every
+// relay received — is durable. Safe on a partially booted daemon —
+// whatever never started is skipped.
 func (i *ISP) Close() error {
 	var firstErr error
 	keep := func(err error) {
@@ -187,10 +189,10 @@ func (i *ISP) Close() error {
 		i.admin = nil
 	}
 	if i.node != nil {
+		keep(i.node.Close())
 		if i.walDir != "" {
 			keep(i.node.Engine().CloseWAL())
 		}
-		keep(i.node.Close())
 	}
 	return firstErr
 }

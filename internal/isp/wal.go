@@ -478,10 +478,16 @@ func (e *Engine) RecoverWAL(dir string) error {
 	return nil
 }
 
-// CloseWAL detaches and closes the engine's WAL. The swap-to-nil
-// happens first so a straggling append (a freeze timer from a dead
-// incarnation, say) no-ops instead of hitting a closed file.
+// CloseWAL drains the admission queue, then detaches and closes the
+// engine's WAL. The drain comes first because every queued message was
+// already answered 250: committed after the detach, its debit would
+// live only in memory, and a restart would hand the sender back an
+// e-penny the peer had already credited to the recipient. The
+// swap-to-nil happens before the close so a straggling append (a
+// freeze timer from a dead incarnation, say) no-ops instead of hitting
+// a closed file.
 func (e *Engine) CloseWAL() error {
+	e.StopQueue()
 	w := e.wal.Swap(nil)
 	if w == nil {
 		return nil

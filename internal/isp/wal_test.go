@@ -248,6 +248,62 @@ func TestWALCrashMidDrain(t *testing.T) {
 	}
 }
 
+// TestWALCloseDrainsQueue is the clean-shutdown twin of
+// TestWALCrashMidDrain: CloseWAL is called while the drain worker is
+// parked inside a commit with more admitted messages queued behind it.
+// Every one of them was answered 250, so the close must commit them
+// all before the log detaches, and the recovered ledger must match the
+// closed engine exactly.
+func TestWALCloseDrainsQueue(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	e1, ft, _ := newEngine(t, 0, nil, nil)
+	if err := e1.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, e1, "alice", 0, 20)
+	mustRegister(t, e1, "bob", 0, 5)
+	initial := e1.TotalEPennies()
+
+	started, release := parkWorkerOn(ft, "bob")
+	e1.StartQueue(QueueConfig{Depth: 32, Workers: 1, Batch: 1})
+	if err := e1.Submit(remoteMsg("bob")); err != nil {
+		t.Fatal(err)
+	}
+	const queued = 4
+	for i := 0; i < queued; i++ {
+		if err := e1.Submit(remoteMsg("alice")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+
+	closed := make(chan error, 1)
+	go func() { closed <- e1.CloseWAL() }()
+	select {
+	case <-closed:
+		t.Errorf("CloseWAL returned with the drain parked and %d messages queued", e1.QueueDepth())
+		close(release)
+	case <-time.After(50 * time.Millisecond):
+		close(release)
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	e1.StopQueue()
+	want := exportJSON(t, e1)
+
+	e2 := recoverInto(t, dir)
+	if got := exportJSON(t, e2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs from the closed engine:\n got %s\nwant %s", got, want)
+	}
+	if info, _ := e2.User("alice"); info.Sent != queued || info.Balance != 20-queued {
+		t.Fatalf("recovered alice = %+v, want sent %d", info, queued)
+	}
+	if got := e2.TotalEPennies(); got != initial {
+		t.Fatalf("recovered total = %d, want %d", got, initial)
+	}
+}
+
 // TestWALCompactionMidTraffic: compaction between mutation bursts must
 // not lose or double-apply anything.
 func TestWALCompactionMidTraffic(t *testing.T) {
