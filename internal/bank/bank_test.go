@@ -198,15 +198,23 @@ func TestBatchOrderPartialFill(t *testing.T) {
 }
 
 func TestBatchOrderReplay(t *testing.T) {
-	// A logged order's nonce outlives its record: after a recovery and
-	// a compaction that drops the record from the log, the nonce is in
-	// the snapshot, so a second recovery still refuses it.
+	// A logged order replays in place between live per-side trades:
+	// its mint and burn reach the account and the counters. Its nonce
+	// outlives its record: after a recovery and a compaction that drops
+	// the record from the log, the nonce is in the snapshot, so a
+	// second recovery still refuses a buy or a sell that reuses it.
 	dir := filepath.Join(t.TempDir(), "wal")
 	b, _ := newBank(t, 2, nil)
 	if err := b.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	appendBatchRecord(t, b, 9, 0, 100, 50)
+	if err := b.Handle(buyEnv(0, 200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	appendBatchRecord(t, b, 2, 0, 300, 40)
+	if err := b.Handle(sellEnv(0, 50, 3)); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ { // close, recover, compact the log; again
 		if err := b.CloseWAL(); err != nil {
 			t.Fatal(err)
@@ -217,11 +225,16 @@ func TestBatchOrderReplay(t *testing.T) {
 		}
 	}
 	defer func() { _ = b.CloseWAL() }()
-	if err := b.Handle(buyEnv(0, 10, 9)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("buy reusing a compacted order's nonce: %v", err)
+	if acct, _ := b.Account(0); acct != 1000-200-300+40+50 {
+		t.Fatalf("account = %v, want 590", acct)
 	}
-	if acct, _ := b.Account(0); acct != 1000-100+50 {
-		t.Fatalf("account = %v, want 950", acct)
+	if st := b.Stats(); st.Minted != 500 || st.Burned != 90 {
+		t.Fatalf("Minted/Burned = %d/%d, want 500/90", st.Minted, st.Burned)
+	}
+	for _, env := range []*wire.Envelope{buyEnv(0, 10, 2), sellEnv(0, 10, 2)} {
+		if err := b.Handle(env); !errors.Is(err, ErrReplay) {
+			t.Fatalf("%v reusing a compacted order's nonce: %v", env.Kind, err)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"zmail/internal/persist"
-	"zmail/internal/wire"
 )
 
 // bankJSON is the equivalence oracle: sorted, versioned snapshots of
@@ -120,33 +119,6 @@ func replayLog(t *testing.T, write func(b *Bank)) *Bank {
 	b2 := recoverBank(t, dir)
 	t.Cleanup(func() { _ = b2.CloseWAL() })
 	return b2
-}
-
-// TestWALBankBatchRecordReplay: a log written before the coalesced
-// order was retired still recovers. Its record lands between live
-// per-side trades, and replay applies the order's mint and burn to the
-// account and the counters and keeps its nonce retired.
-func TestWALBankBatchRecordReplay(t *testing.T) {
-	b := replayLog(t, func(b *Bank) {
-		if err := b.Handle(buyEnv(0, 200, 1)); err != nil {
-			t.Fatal(err)
-		}
-		appendBatchRecord(t, b, 2, 0, 300, 40)
-		if err := b.Handle(sellEnv(0, 50, 3)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if acct, _ := b.Account(0); acct != 1000-200-300+40+50 {
-		t.Fatalf("account = %v, want 590", acct)
-	}
-	if st := b.Stats(); st.Minted != 500 || st.Burned != 90 {
-		t.Fatalf("Minted/Burned = %d/%d, want 500/90", st.Minted, st.Burned)
-	}
-	for _, env := range []*wire.Envelope{buyEnv(0, 10, 2), sellEnv(0, 10, 2)} {
-		if err := b.Handle(env); !errors.Is(err, ErrReplay) {
-			t.Fatalf("%v reusing the order's nonce: %v", env.Kind, err)
-		}
-	}
 }
 
 // TestWALBankRoundTrip: every mutation class survives close + replay

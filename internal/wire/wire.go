@@ -10,12 +10,8 @@
 //	request(x)    bank → ISP   credit-array snapshot request (seq)
 //	reply(x)      ISP → bank   the ISP's credit array
 //
-// plus the batch-order extension (one coalesced buy+sell per sealed
-// message, amortizing a round trip, a nonce, and a seal across many
-// e-pennies):
-//
-//	batchorder(x) ISP → bank   coalesced buy/sell order (sealed, nonced)
-//	batchreply(x) bank → ISP   partial-fill grant (echoes nonce)
+// Kinds 8 and 9 once carried a coalesced buy+sell order; they are
+// retired and never reused.
 //
 // Bodies are fixed little-endian binary; each travels inside an
 // Envelope that carries the message kind, the sender's ISP index, an
